@@ -69,30 +69,6 @@ mergeHot(const std::vector<std::vector<obs::HotspotProfile::Entry>>
     return merged;
 }
 
-/** Harvest the CPI/hotspot side channel from one finished core. */
-obs::CpiReport
-harvestCpi(const Core &core)
-{
-    obs::CpiReport r;
-    const obs::CpiStack *stack = core.cpiStack();
-    const obs::HotspotProfile *hot = core.hotspots();
-    if (!stack && !hot)
-        return r;
-    r.valid = true;
-    if (stack) {
-        r.machine = *stack;
-        r.perCore.push_back(*stack);
-    }
-    if (hot) {
-        const std::size_t n =
-            obs::CpiAccounting::instance().hotspotTopN();
-        r.hotRetired = hot->topByRetired(n);
-        r.hotStall = hot->topByStall(n);
-        r.hotspotDropped = hot->dropped();
-    }
-    return r;
-}
-
 /** Harvest and aggregate the side channel across a System's cores. */
 obs::CpiReport
 harvestCpi(const System &sys)
@@ -423,80 +399,77 @@ assembleWorkload(const Workload &workload)
     return *it->second;
 }
 
+SpmdEmulators::SpmdEmulators(const Workload &workload,
+                             unsigned num_cores)
+{
+    const Program &prog = assembleWorkload(workload);
+    for (unsigned i = 0; i < num_cores; ++i) {
+        Emulator::Options opts;
+        opts.randSeed = workload.seed + i;
+        opts.coreId = i;
+        owned_.push_back(std::make_unique<Emulator>(prog, opts));
+        cores_.push_back(owned_.back().get());
+    }
+}
+
+std::uint64_t
+SpmdEmulators::instCount() const
+{
+    std::uint64_t total = 0;
+    for (const Emulator *emu : cores_)
+        total += emu->instCount();
+    return total;
+}
+
+bool
+SpmdEmulators::done() const
+{
+    return std::all_of(cores_.begin(), cores_.end(),
+                       [](const Emulator *emu) { return emu->done(); });
+}
+
+void
+SpmdEmulators::collect(RunOutput *out) const
+{
+    // An order-dependent FNV-style fold; one core reports its digest
+    // raw, so a single-core digest is the emulator's own.
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (const Emulator *emu : cores_) {
+        out->output += emu->output();
+        digest = (digest ^ emu->memory().digest()) * 1099511628211ULL;
+    }
+    out->emuInsts = instCount();
+    out->memDigest =
+        cores_.size() == 1 ? cores_[0]->memory().digest() : digest;
+}
+
 RunOutput
 runWorkload(const Workload &workload, const CoreParams &params,
             CriticalPathAnalyzer *cpa)
 {
-    // Multi-core configurations take the System path; a single core
-    // keeps the historical code path untouched, so its outputs stay
-    // byte-identical to every pre-System release.
-    if (params.sys.numCores > 1)
-        return runWorkloadMulti(workload, params, cpa);
-    const Program &prog = assembleWorkload(workload);
-    Emulator::Options opts;
-    opts.randSeed = workload.seed;
-    Emulator emu(prog, opts);
-    Core core(params, emu);
-    // --pipetrace: a bounded tracer shares the retire-listener slot
-    // with the CPA through a tee when both are requested.
-    PipeTracer ptrace;
-    RetireTee tee;
-    const bool want_ptrace = PipeTraceSink::instance().enabled();
-    if (cpa && want_ptrace) {
-        tee.a = cpa;
-        tee.b = &ptrace;
-        core.setRetireListener(&tee);
-    } else if (cpa) {
-        core.setRetireListener(cpa);
-    } else if (want_ptrace) {
-        core.setRetireListener(&ptrace);
-    }
-    RunOutput out;
-    {
-        obs::PhaseSpan phase("sim.detailed");
-        out.sim = core.run();
-        phase.setInsts(out.sim.retired);
-    }
-    if (cpa)
-        cpa->finish();
-    if (want_ptrace)
-        PipeTraceSink::instance().emit(workload.name,
-                                       ptrace.records());
-    out.cpi = harvestCpi(core);
-    out.output = emu.output();
-    out.memDigest = emu.memory().digest();
-    out.emuInsts = emu.instCount();
-    return out;
-}
-
-RunOutput
-runWorkloadMulti(const Workload &workload, const CoreParams &params,
-                 CriticalPathAnalyzer *cpa)
-{
-    if (cpa)
+    const unsigned n = params.sys.numCores;
+    if (cpa && n > 1)
         fatal("critical-path analysis is single-core only "
-              "(config runs %u cores)", params.sys.numCores);
-    const Program &prog = assembleWorkload(workload);
+              "(config runs %u cores)", n);
+    const SpmdEmulators emus(workload, n);
+    System sys(params, emus.cores());
 
-    // SPMD: every core runs the same kernel; per-core behavior comes
-    // from the core_id syscall and a per-core rand stream.
-    std::vector<std::unique_ptr<Emulator>> emus;
-    std::vector<Emulator *> emu_ptrs;
-    for (unsigned i = 0; i < params.sys.numCores; ++i) {
-        Emulator::Options opts;
-        opts.randSeed = workload.seed + i;
-        opts.coreId = i;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-        emu_ptrs.push_back(emus.back().get());
-    }
-    System sys(params, emu_ptrs);
-
-    // --pipetrace: one bounded tracer per core, emitted per lane.
+    // --pipetrace: one bounded tracer per core, emitted per lane. The
+    // CPA shares core 0's retire-listener slot with its tracer
+    // through a tee when both are requested.
     std::vector<PipeTracer> ptracers;
     if (PipeTraceSink::instance().enabled()) {
-        ptracers.resize(params.sys.numCores);
-        for (unsigned i = 0; i < params.sys.numCores; ++i)
+        ptracers.resize(n);
+        for (unsigned i = 0; i < n; ++i)
             sys.core(i).setRetireListener(&ptracers[i]);
+    }
+    RetireTee tee;
+    if (cpa && !ptracers.empty()) {
+        tee.a = cpa;
+        tee.b = &ptracers[0];
+        sys.core(0).setRetireListener(&tee);
+    } else if (cpa) {
+        sys.core(0).setRetireListener(cpa);
     }
 
     RunOutput out;
@@ -505,73 +478,37 @@ runWorkloadMulti(const Workload &workload, const CoreParams &params,
         out.sim = sys.run();
         phase.setInsts(out.sim.retired);
     }
+    if (cpa)
+        cpa->finish();
     for (std::size_t i = 0; i < ptracers.size(); ++i) {
         PipeTraceSink::instance().emit(
-            strprintf("%s core%zu", workload.name.c_str(), i),
+            n == 1 ? workload.name
+                   : strprintf("%s core%zu", workload.name.c_str(), i),
             ptracers[i].records());
     }
     out.cpi = harvestCpi(sys);
-    // Functional reference: outputs concatenate in core order; the
-    // memory digests fold into one order-dependent FNV-style hash.
-    // One core reports its digest raw, keeping the N=1 System
-    // byte-identical to the single-core path.
-    std::uint64_t digest = 1469598103934665603ULL;
-    for (const auto &emu : emus) {
-        out.output += emu->output();
-        digest = (digest ^ emu->memory().digest()) *
-                 1099511628211ULL;
-        out.emuInsts += emu->instCount();
-    }
-    out.memDigest = emus.size() == 1 ? emus[0]->memory().digest()
-                                     : digest;
+    emus.collect(&out);
     return out;
 }
 
 RunOutput
 runFunctional(const Workload &workload)
 {
-    const Program &prog = assembleWorkload(workload);
-    Emulator::Options opts;
-    opts.randSeed = workload.seed;
-    Emulator emu(prog, opts);
-    RunOutput out;
-    {
-        obs::PhaseSpan phase("sim.functional");
-        out.emuInsts = emu.run();
-        phase.setInsts(out.emuInsts);
-    }
-    out.output = emu.output();
-    out.memDigest = emu.memory().digest();
-    return out;
+    return runFunctionalMulti(workload, 1);
 }
 
 RunOutput
 runFunctionalMulti(const Workload &workload, unsigned num_cores)
 {
-    if (num_cores <= 1)
-        return runFunctional(workload);
-    const Program &prog = assembleWorkload(workload);
-    std::vector<std::unique_ptr<Emulator>> emus;
-    for (unsigned i = 0; i < num_cores; ++i) {
-        Emulator::Options opts;
-        opts.randSeed = workload.seed + i;
-        opts.coreId = i;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-    }
-    RunOutput out;
+    const SpmdEmulators emus(workload, num_cores);
     {
         obs::PhaseSpan phase("sim.functional");
-        for (auto &emu : emus)
-            out.emuInsts += emu->run();
-        phase.setInsts(out.emuInsts);
+        for (Emulator *emu : emus.cores())
+            emu->run();
+        phase.setInsts(emus.instCount());
     }
-    std::uint64_t digest = 1469598103934665603ULL;
-    for (const auto &emu : emus) {
-        out.output += emu->output();
-        digest = (digest ^ emu->memory().digest()) *
-                 1099511628211ULL;
-    }
-    out.memDigest = digest;
+    RunOutput out;
+    emus.collect(&out);
     return out;
 }
 

@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -130,34 +131,57 @@ std::string renderSuiteList();
 const Program &assembleWorkload(const Workload &workload);
 
 /**
- * Run @p workload on @p params; optionally attach a CPA. A config
- * with sys.numCores > 1 dispatches to runWorkloadMulti(); one core
- * takes the historical single-core path, byte-identical outputs.
+ * The SPMD rule every run follows, at any core count: core i runs the
+ * workload's kernel on its own emulator, with the core_id syscall
+ * returning i and rand seeded workload.seed + i. One core is the
+ * plain single-core run.
+ */
+class SpmdEmulators
+{
+  public:
+    SpmdEmulators(const Workload &workload, unsigned num_cores);
+
+    /** The emulators in core order (System / warming input). */
+    const std::vector<Emulator *> &cores() const { return cores_; }
+
+    /** Aggregate executed-instruction count over the cores. */
+    std::uint64_t instCount() const;
+
+    /** True once every core's program has exited. */
+    bool done() const;
+
+    /**
+     * Fill @p out's functional reference: program outputs concatenated
+     * in core order, emuInsts the aggregate instruction count, and the
+     * per-core memory digests folded into one order-dependent hash
+     * (the raw digest at one core).
+     */
+    void collect(RunOutput *out) const;
+
+  private:
+    std::vector<std::unique_ptr<Emulator>> owned_;
+    std::vector<Emulator *> cores_;
+};
+
+/**
+ * Run @p workload in full detail on a System of params.sys.numCores
+ * cores (SpmdEmulators); a single-core run is a 1-core System.
+ * Optionally attach a CPA as core 0's retire listener; fatal()s when
+ * @p cpa is non-null on more than one core (critical-path analysis is
+ * single-core only).
  */
 RunOutput runWorkload(const Workload &workload, const CoreParams &params,
                       CriticalPathAnalyzer *cpa = nullptr);
 
-/**
- * Run @p workload SPMD on an N-core System: every core executes the
- * kernel with its own emulator (core_id syscall = core index, rand
- * seeded workload.seed + index). The RunOutput concatenates per-core
- * program outputs in core order and folds the per-core memory
- * digests into one hash. fatal()s when @p cpa is non-null: critical
- * -path analysis is single-core only.
- */
-RunOutput runWorkloadMulti(const Workload &workload,
-                           const CoreParams &params,
-                           CriticalPathAnalyzer *cpa = nullptr);
-
-/** Run just the functional emulator (reference state / output). */
+/** Run just the functional emulator (reference state / output):
+ *  runFunctionalMulti() on one core. */
 RunOutput runFunctional(const Workload &workload);
 
 /**
- * Functional-only SPMD run over @p num_cores emulator streams
- * (constructed exactly as runWorkloadMulti constructs them). emuInsts
- * is the aggregate dynamic instruction count, outputs concatenate in
- * core order, and the memory digest folds per-core digests with the
- * same hash as runWorkloadMulti (raw digest at one core).
+ * Functional-only run over @p num_cores SPMD emulator streams,
+ * constructed and collected exactly as runWorkload() does
+ * (SpmdEmulators): emuInsts is the aggregate dynamic instruction
+ * count, and output and memory digest match the detailed run's.
  */
 RunOutput runFunctionalMulti(const Workload &workload,
                              unsigned num_cores);

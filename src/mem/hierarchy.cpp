@@ -118,7 +118,7 @@ MemHierarchy::flush()
 void
 MemHierarchy::copyStateFrom(const MemHierarchy &other)
 {
-    if (shared_.size() != other.shared_.size())
+    if (!attached() && shared_.size() != other.shared_.size())
         fatal("memory hierarchy: copyStateFrom depth mismatch "
               "(%zu shared levels vs %zu)",
               shared_.size(), other.shared_.size());

@@ -114,7 +114,9 @@ class MemHierarchy
      * Adopt another same-geometry hierarchy's state (tags, LRU,
      * counters, prefetcher training, bus). MemHierarchy is
      * deliberately not copyable (the levels hold pointers into their
-     * owner); this is the supported way to clone its state.
+     * owner); this is the supported way to clone its state. An
+     * attached hierarchy adopts only the L1s, from either mode: its
+     * shared stack belongs to the System, which injects it itself.
      */
     void copyStateFrom(const MemHierarchy &other);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
@@ -97,173 +98,107 @@ accumulateResult(SimResult &into, const SimResult &add)
         statRef(into, field) += statValue(add, field);
 }
 
-SimResult
-runIntervalDetailed(const Workload &workload, const CoreParams &params,
-                    const IntervalWindow &window,
-                    const SampleCheckpoint *ckpt,
-                    obs::CpiStack *cpi_out)
+namespace
 {
-    if (window.measureInsts == 0)
-        fatal("runIntervalDetailed: window has no measured insts");
-    // Multi-core configurations take the interleaved-warming engine;
-    // one core keeps the historical path, byte-identical results.
-    if (params.sys.numCores > 1)
-        return runIntervalMulti(workload, params, window, ckpt,
-                                cpi_out);
 
-    const Program &prog = assembleWorkload(workload);
-    Emulator::Options opts;
-    opts.randSeed = workload.seed;
-    Emulator emu(prog, opts);
-
-    // Bring functional state and warm tables to startInst. A usable
-    // checkpoint skips the [0, checkpoint) prefix; otherwise warm
-    // from the program start (same deterministic stream, chopped
-    // differently -- identical state either way).
-    const WarmState *inject = nullptr;
-    std::unique_ptr<WarmState> scratch;
-    if (ckpt && ckpt->usable() &&
-        ckpt->emu->instCount <= window.startInst &&
-        warmConfigDigest(params) ==
-            warmConfigDigest(ckpt->warm->memParams(),
-                             ckpt->warm->bpParams())) {
-        {
-            obs::PhaseSpan phase("sample.restore");
-            emu.restore(*ckpt->emu);
-        }
-        if (ckpt->emu->instCount == window.startInst) {
-            inject = ckpt->warm.get();
-        } else {
-            scratch = std::make_unique<WarmState>(*ckpt->warm);
-            obs::PhaseSpan phase("sample.fastforward");
-            const std::uint64_t ff_start = emu.instCount();
-            warmStep(emu, *scratch, window.startInst);
-            phase.setInsts(emu.instCount() - ff_start);
-            inject = scratch.get();
-        }
-    } else {
-        scratch = std::make_unique<WarmState>(params.mem,
-                                              params.bpred);
-        obs::PhaseSpan phase("sample.fastforward");
-        const std::uint64_t ff_start = emu.instCount();
-        warmStep(emu, *scratch, window.startInst);
-        phase.setInsts(emu.instCount() - ff_start);
-        inject = scratch.get();
-    }
-    if (emu.done())
-        return SimResult{};
-
-    Core core(params, emu);
-    core.memHierarchy().copyStateFrom(inject->mem);
-    core.memHierarchy().settle();
-    core.branchPredictor() = inject->bp;
-
-    if (window.warmupInsts > 0) {
-        obs::PhaseSpan phase("sample.warmup");
-        core.runUntilRetired(window.warmupInsts);
-        phase.setInsts(core.result().retired);
-    }
-    const SimResult pre = core.result();
-    const obs::CpiStack pre_stack =
-        core.cpiStack() ? *core.cpiStack() : obs::CpiStack{};
-    SimResult post;
-    {
-        obs::PhaseSpan phase("sample.detailed");
-        post = core.runUntilRetired(window.warmupInsts +
-                                    window.measureInsts);
-        phase.setInsts(post.retired - pre.retired);
-    }
-    if (cpi_out && core.cpiStack())
-        *cpi_out = core.cpiStack()->delta(pre_stack);
-    return deltaResult(post, pre);
+/** A fresh warm state, to warm from the program start. */
+template <typename Warm>
+std::unique_ptr<Warm>
+coldWarm(const CoreParams &params)
+{
+    if constexpr (std::is_same_v<Warm, WarmState>)
+        return std::make_unique<WarmState>(params.mem, params.bpred);
+    else
+        return std::make_unique<SysWarmState>(params.mem, params.bpred,
+                                              params.sys.numCores);
 }
 
-SimResult
-runIntervalMulti(const Workload &workload, const CoreParams &params,
-                 const IntervalWindow &window,
-                 const SampleCheckpoint *ckpt,
-                 obs::CpiStack *cpi_out)
+/** Warm either state type to an (aggregate) instruction bound. */
+void
+warmTo(const std::vector<Emulator *> &emus, WarmState &warm,
+       std::uint64_t bound)
 {
-    if (window.measureInsts == 0)
-        fatal("runIntervalMulti: window has no measured insts");
-    const unsigned n = params.sys.numCores;
-    if (n < 1 || n > SysParams::MaxCores)
-        fatal("runIntervalMulti: core count must be in [1, %u] "
-              "(got %u)", SysParams::MaxCores, n);
+    warmStep(*emus[0], warm, bound);
+}
 
-    // SPMD, exactly as runWorkloadMulti constructs the cores: the
-    // kernel differentiates through the core_id syscall and a
-    // per-core rand stream.
-    const Program &prog = assembleWorkload(workload);
-    std::vector<std::unique_ptr<Emulator>> emus;
-    std::vector<Emulator *> emu_ptrs;
-    for (unsigned i = 0; i < n; ++i) {
-        Emulator::Options opts;
-        opts.randSeed = workload.seed + i;
-        opts.coreId = i;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-        emu_ptrs.push_back(emus.back().get());
+void
+warmTo(const std::vector<Emulator *> &emus, SysWarmState &warm,
+       std::uint64_t bound)
+{
+    warmStepMulti(emus, warm, bound);
+}
+
+/** Inject single-core warm tables: the owning hierarchy's shared
+ *  levels into the System's stack, its L1s and the predictor into
+ *  core 0. */
+void
+inject(System &sys, const WarmState &warm)
+{
+    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
+        sys.sharedLevel(i).copyStateFrom(warm.mem.sharedLevel(i));
+    sys.core(0).memHierarchy().copyStateFrom(warm.mem);
+    sys.core(0).branchPredictor() = warm.bp;
+}
+
+/** Inject N-core warm tables: shared levels, MESI directory, then
+ *  every core's L1s and predictor. */
+void
+inject(System &sys, const SysWarmState &warm)
+{
+    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
+        sys.sharedLevel(i).copyStateFrom(warm.sharedLevel(i));
+    if (!sys.bus().importState(warm.bus().exportState()))
+        fatal("runIntervalDetailed: warmed MESI directory does not fit "
+              "a %u-core bus", sys.numCores());
+    for (unsigned i = 0; i < sys.numCores(); ++i) {
+        sys.core(i).memHierarchy().copyStateFrom(warm.coreMem(i));
+        sys.core(i).branchPredictor() = warm.coreBp(i);
     }
-    const auto aggregate = [&emu_ptrs] {
-        std::uint64_t total = 0;
-        for (const Emulator *emu : emu_ptrs)
-            total += emu->instCount();
-        return total;
-    };
+}
 
-    // Bring functional state and warm tables to the window start (an
-    // aggregate position). A usable checkpoint skips the warmed
-    // prefix; the stateless interleave rule makes the chopped and
-    // unchopped streams bit-identical.
-    const SysWarmState *inject = nullptr;
-    std::unique_ptr<SysWarmState> scratch;
-    if (ckpt && ckpt->usable() && ckpt->numCores() == n &&
-        ckpt->instCount() <= window.startInst &&
-        warmConfigDigest(params) ==
-            warmConfigDigest(ckpt->sysWarm->memParams(),
-                             ckpt->sysWarm->bpParams(),
-                             ckpt->sysWarm->numCores())) {
-        {
-            obs::PhaseSpan phase("sample.restore");
-            emus[0]->restore(*ckpt->emu);
-            for (unsigned i = 1; i < n; ++i)
-                emus[i]->restore(*ckpt->extraEmus[i - 1]);
-        }
-        if (ckpt->instCount() == window.startInst) {
-            inject = ckpt->sysWarm.get();
-        } else {
-            scratch = std::make_unique<SysWarmState>(*ckpt->sysWarm);
-            obs::PhaseSpan phase("sample.fastforward");
-            const std::uint64_t ff_start = aggregate();
-            warmStepMulti(emu_ptrs, *scratch, window.startInst);
-            phase.setInsts(aggregate() - ff_start);
-            inject = scratch.get();
-        }
-    } else {
-        scratch = std::make_unique<SysWarmState>(params.mem,
-                                                 params.bpred, n);
+/** warmConfigDigest of the warm half a usable checkpoint carries
+ *  for its core count. */
+std::uint64_t
+warmDigest(const SampleCheckpoint &ckpt)
+{
+    if (ckpt.numCores() == 1)
+        return warmConfigDigest(ckpt.warm->memParams(),
+                                ckpt.warm->bpParams());
+    return warmConfigDigest(ckpt.sysWarm->memParams(),
+                            ckpt.sysWarm->bpParams(), ckpt.numCores());
+}
+
+/**
+ * Warm @p restored (the checkpoint's tables, or cold ones when null)
+ * forward to the window start, inject them into a fresh System, and
+ * measure the window.
+ */
+template <typename Warm>
+SimResult
+measureWindow(const CoreParams &params, const SpmdEmulators &emus,
+              const IntervalWindow &window, const Warm *restored,
+              obs::CpiStack *cpi_out)
+{
+    const Warm *warm = restored;
+    std::unique_ptr<Warm> scratch;
+    const std::uint64_t ff_start = emus.instCount();
+    if (!restored || ff_start != window.startInst) {
+        scratch = restored ? std::make_unique<Warm>(*restored)
+                           : coldWarm<Warm>(params);
         obs::PhaseSpan phase("sample.fastforward");
-        warmStepMulti(emu_ptrs, *scratch, window.startInst);
-        phase.setInsts(aggregate());
-        inject = scratch.get();
+        warmTo(emus.cores(), *scratch, window.startInst);
+        phase.setInsts(emus.instCount() - ff_start);
+        warm = scratch.get();
     }
-    if (std::all_of(emu_ptrs.begin(), emu_ptrs.end(),
-                    [](const Emulator *e) { return e->done(); }))
+    if (emus.done())
         return SimResult{};
 
-    System sys(params, emu_ptrs);
-    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i) {
-        sys.sharedLevel(i).copyStateFrom(inject->sharedLevel(i));
+    System sys(params, emus.cores());
+    inject(sys, *warm);
+    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
         sys.sharedLevel(i).settle();
-    }
-    if (!sys.bus().importState(inject->bus().exportState()))
-        fatal("runIntervalMulti: warmed MESI directory does not fit "
-              "a %u-core bus", n);
-    for (unsigned i = 0; i < n; ++i) {
-        sys.core(i).memHierarchy().copyStateFrom(inject->coreMem(i));
+    for (unsigned i = 0; i < sys.numCores(); ++i)
         sys.core(i).memHierarchy().settle();
-        sys.core(i).branchPredictor() = inject->coreBp(i);
-    }
 
     if (window.warmupInsts > 0) {
         obs::PhaseSpan phase("sample.warmup");
@@ -271,8 +206,8 @@ runIntervalMulti(const Workload &workload, const CoreParams &params,
         phase.setInsts(sys.result().retired);
     }
     const SimResult pre = sys.result();
-    std::vector<obs::CpiStack> pre_stacks(n);
-    for (unsigned i = 0; i < n; ++i) {
+    std::vector<obs::CpiStack> pre_stacks(sys.numCores());
+    for (unsigned i = 0; i < sys.numCores(); ++i) {
         if (sys.core(i).cpiStack())
             pre_stacks[i] = *sys.core(i).cpiStack();
     }
@@ -284,13 +219,53 @@ runIntervalMulti(const Workload &workload, const CoreParams &params,
         phase.setInsts(post.retired - pre.retired);
     }
     if (cpi_out) {
-        for (unsigned i = 0; i < n; ++i) {
+        for (unsigned i = 0; i < sys.numCores(); ++i) {
             if (sys.core(i).cpiStack())
                 cpi_out->accumulate(
                     sys.core(i).cpiStack()->delta(pre_stacks[i]));
         }
     }
     return deltaResult(post, pre);
+}
+
+} // namespace
+
+SimResult
+runIntervalDetailed(const Workload &workload, const CoreParams &params,
+                    const IntervalWindow &window,
+                    const SampleCheckpoint *ckpt,
+                    obs::CpiStack *cpi_out)
+{
+    if (window.measureInsts == 0)
+        fatal("runIntervalDetailed: window has no measured insts");
+    const unsigned n = params.sys.numCores;
+    if (n < 1 || n > SysParams::MaxCores)
+        fatal("runIntervalDetailed: core count must be in [1, %u] "
+              "(got %u)", SysParams::MaxCores, n);
+    const SpmdEmulators emus(workload, n);
+
+    // A usable checkpoint at or before the window start skips the
+    // warmed prefix; the stateless warming rules make the chopped and
+    // unchopped streams bit-identical. The core count is checked
+    // before either warm half is read: a checkpoint of another core
+    // count carries the other half only, and is ignored.
+    const bool resume = ckpt && ckpt->usable() && ckpt->numCores() == n &&
+                        ckpt->instCount() <= window.startInst &&
+                        warmDigest(*ckpt) == warmConfigDigest(params);
+    if (resume) {
+        obs::PhaseSpan phase("sample.restore");
+        emus.cores()[0]->restore(*ckpt->emu);
+        for (unsigned i = 1; i < n; ++i)
+            emus.cores()[i]->restore(*ckpt->extraEmus[i - 1]);
+    }
+    // The one core-count branch: which warm type supplies the tables.
+    if (n == 1)
+        return measureWindow(params, emus, window,
+                             resume ? ckpt->warm.get() : nullptr,
+                             cpi_out);
+    return measureWindow(params, emus, window,
+                         resume ? ckpt->sysWarm.get() : nullptr,
+                         cpi_out);
 }
 
 SampledEstimate

@@ -144,41 +144,32 @@ struct SampleCheckpoint {
 };
 
 /**
- * Execute one interval. The interval's semantics are fixed: caches
- * and branch predictor functionally warmed over the FULL history
- * [0, startInst), then warmupInsts of detailed warmup, then the
- * measured window's stats delta. A usable checkpoint at or before
- * startInst (with matching warm-state parameters) only accelerates
- * the warming -- results are bit-identical with or without it.
- * Returns an all-zero SimResult when the program ends before the
- * measured window begins.
+ * Execute one interval on a System of params.sys.numCores cores (a
+ * single-core window is a 1-core System). The interval's semantics
+ * are fixed: caches and branch predictors functionally warmed over
+ * the FULL history [0, startInst), then warmupInsts of detailed
+ * warmup, then the measured window's stats delta. Positions and
+ * lengths are AGGREGATE retired-instruction counts -- the sum over
+ * the cores -- matching the deterministic interleave of warmStepMulti
+ * and System::runUntilRetired. The warmed tables come from a
+ * WarmState on one core and a SysWarmState (shared stack, MESI
+ * directory, per-core L1s and predictors) on more.
+ *
+ * A usable checkpoint at or before startInst, of the same core count
+ * and warm-state parameters, only accelerates the warming -- results
+ * are bit-identical with or without it; any other checkpoint is
+ * ignored. Returns an all-zero SimResult when every program ends
+ * before the measured window begins.
  *
  * When @p cpi_out is non-null and obs::CpiAccounting is enabled, it
- * receives the measured window's CPI-stack delta (summed over cores
- * on a multi-core config); otherwise it is left zeroed.
+ * accumulates the measured window's CPI-stack delta, summed over the
+ * cores; otherwise it is left untouched.
  */
 SimResult runIntervalDetailed(const Workload &workload,
                               const CoreParams &params,
                               const IntervalWindow &window,
                               const SampleCheckpoint *ckpt = nullptr,
                               obs::CpiStack *cpi_out = nullptr);
-
-/**
- * The multi-core interval engine (runIntervalDetailed dispatches
- * here when params.sys.numCores > 1; the single-core path is
- * untouched). Window positions and lengths are AGGREGATE retired
- * -instruction counts -- the sum over the cores -- matching the
- * deterministic interleave of functional warming (warmStepMulti) and
- * of System::runUntilRetired. Warming drives all N emulator streams
- * through the shared stack and the warming-mode MESI bus, then the
- * warmed directory, shared levels, L1s and predictors are injected
- * into a fresh System for the detailed window.
- */
-SimResult runIntervalMulti(const Workload &workload,
-                           const CoreParams &params,
-                           const IntervalWindow &window,
-                           const SampleCheckpoint *ckpt = nullptr,
-                           obs::CpiStack *cpi_out = nullptr);
 
 /** Whole-program estimate aggregated from measured windows. */
 struct SampledEstimate {

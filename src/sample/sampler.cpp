@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <memory>
 
 #include "common/log.hpp"
 #include "common/report.hpp"
@@ -163,11 +162,9 @@ prepareWorkload(WorkloadPrep &prep,
         if (capture.empty())
             continue;
 
-        const Program &prog = assembleWorkload(w);
+        const SpmdEmulators emus(w, cores);
         if (cores == 1) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed;
-            Emulator emu(prog, opts);
+            Emulator &emu = *emus.cores()[0];
             WarmState warm(rep.mem, rep.bpred);
             obs::PhaseSpan phase("sample.capture");
             for (const std::size_t i : capture) {
@@ -185,32 +182,20 @@ prepareWorkload(WorkloadPrep &prep,
         // warming-mode MESI bus; each ascending aggregate position
         // snapshots all N functional states plus the system warm
         // state.
-        std::vector<std::unique_ptr<Emulator>> emus;
-        std::vector<Emulator *> emu_ptrs;
-        for (unsigned c = 0; c < cores; ++c) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed + c;
-            opts.coreId = c;
-            emus.push_back(std::make_unique<Emulator>(prog, opts));
-            emu_ptrs.push_back(emus.back().get());
-        }
         SysWarmState warm(rep.mem, rep.bpred, cores);
         obs::PhaseSpan phase("sample.capture");
         for (const std::size_t i : capture) {
-            warmStepMulti(emu_ptrs, warm,
+            warmStepMulti(emus.cores(), warm,
                           windows[i].window.startInst);
             std::vector<EmuCheckpoint> snaps;
             snaps.reserve(cores);
-            for (const auto &emu : emus)
+            for (const Emulator *emu : emus.cores())
                 snaps.push_back(emu->checkpoint());
             prep.checkpoints[gi][i] = store.storeMulti(
                 w, windows[i].window.startInst, std::move(snaps),
                 warm);
         }
-        std::uint64_t aggregate = 0;
-        for (const auto &emu : emus)
-            aggregate += emu->instCount();
-        phase.setInsts(aggregate);
+        phase.setInsts(emus.instCount());
     }
 }
 

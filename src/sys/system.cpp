@@ -104,6 +104,9 @@ SimResult
 System::run()
 {
     const SimResult r = runUntilRetired(~std::uint64_t{0});
+    // A lone core has no coherence traffic to publish.
+    if (cores_.size() == 1)
+        return r;
 
     auto &metrics = obs::MetricsRegistry::instance();
     metrics.counter("sys.coh.invalidations").inc(bus_.invalidations());
@@ -156,8 +159,8 @@ System::runUntilRetired(std::uint64_t retired_bound)
         }
     }
     if (!finished() && now_ >= params_.maxCycles)
-        warn("multi-core simulation hit the cycle limit before every "
-             "core exited");
+        warn("simulation hit the cycle limit before every core "
+             "exited");
     return result();
 }
 

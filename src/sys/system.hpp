@@ -19,9 +19,11 @@
  * A finished core freezes (its coreCycles slot records its own
  * completion time); the system runs until every core has exited.
  *
- * A 1-core System is cycle-identical to a bare Core by construction:
- * the bus's single-core paths all charge zero penalty, and the shared
- * stack is assembled with exactly the single-core hierarchy's logic.
+ * Every detailed run is a System, single-core runs included (the
+ * harness and the interval engine build nothing else). A 1-core
+ * System is cycle-identical to a bare Core by construction: the bus's
+ * single-core paths all charge zero penalty, and the shared stack is
+ * assembled with exactly the single-core hierarchy's logic.
  */
 #pragma once
 

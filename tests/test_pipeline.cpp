@@ -2,7 +2,8 @@
  * @file
  * Pipeline-subsystem tests: golden byte-identity of full SimResult
  * vectors against the pre-refactor monolithic core (squash/replay
- * included), stall-counter attribution per back-pressured resource,
+ * included) on both a bare Core and the harness's 1-core System,
+ * stall-counter attribution per back-pressured resource,
  * StatSet snapshot/delta algebra as used by the sampling windows, and
  * instruction-arena recycling.
  */
@@ -14,6 +15,7 @@
 #include "common/statset.hpp"
 #include "sample/interval.hpp"
 #include "emu/emulator.hpp"
+#include "harness/experiment.hpp"
 #include "uarch/core.hpp"
 
 using namespace reno;
@@ -218,7 +220,7 @@ const GoldenCase MixedGolden[] = {
 
 void
 expectResultEq(const SimResult &got, const SimResult &want,
-               const char *label)
+               const std::string &label)
 {
     // The goldens freeze every counter that existed when they were
     // recorded: the registry prefix up to the elim array. Counters
@@ -233,38 +235,47 @@ expectResultEq(const SimResult &got, const SimResult &want,
     }
 }
 
-SimResult
-runWithConfig(const char *src, const RenoConfig &config)
+/**
+ * Check one golden case on both detailed paths: a bare Core, and the
+ * harness's 1-core System (runWorkload), which must also report no
+ * coherence traffic.
+ */
+void
+expectGolden(const char *src, const RenoConfig &config,
+             const GoldenCase &golden)
 {
     CoreParams p;
     p.reno = config;
-    return runProgram(src, p);
+    expectResultEq(runProgram(src, p), golden.expect, golden.name);
+
+    const Workload w{golden.name, "test", src, 1};
+    const SimResult sys = runWorkload(w, p).sim;
+    const std::string label = std::string(golden.name) + " (System)";
+    expectResultEq(sys, golden.expect, label);
+    EXPECT_EQ(sys.cohInvalidations, 0u) << label;
+    EXPECT_EQ(sys.cohInterventions, 0u) << label;
+    EXPECT_EQ(sys.cohUpgradeMisses, 0u) << label;
+    EXPECT_EQ(sys.cohWritebacks, 0u) << label;
 }
 
 } // namespace
 
 TEST(PipelineGolden, ViolationSquashReplayByteIdentical)
 {
-    expectResultEq(runWithConfig(violationSrc, RenoConfig::baseline()),
-                   ViolationGolden[0].expect, ViolationGolden[0].name);
-    expectResultEq(runWithConfig(violationSrc, RenoConfig::full()),
-                   ViolationGolden[1].expect, ViolationGolden[1].name);
+    expectGolden(violationSrc, RenoConfig::baseline(), ViolationGolden[0]);
+    expectGolden(violationSrc, RenoConfig::full(), ViolationGolden[1]);
 }
 
 TEST(PipelineGolden, MisintegrationWorkloadByteIdentical)
 {
-    expectResultEq(runWithConfig(misintegSrc, RenoConfig::full()),
-                   MisintegGolden.expect, MisintegGolden.name);
+    expectGolden(misintegSrc, RenoConfig::full(), MisintegGolden);
 }
 
 TEST(PipelineGolden, MixedKernelByteIdenticalAcrossConfigs)
 {
-    expectResultEq(runWithConfig(mixedSrc, RenoConfig::baseline()),
-                   MixedGolden[0].expect, MixedGolden[0].name);
-    expectResultEq(runWithConfig(mixedSrc, RenoConfig::full()),
-                   MixedGolden[1].expect, MixedGolden[1].name);
-    expectResultEq(runWithConfig(mixedSrc, RenoConfig::fullIt()),
-                   MixedGolden[2].expect, MixedGolden[2].name);
+    expectGolden(mixedSrc, RenoConfig::baseline(), MixedGolden[0]);
+    expectGolden(mixedSrc, RenoConfig::full(), MixedGolden[1]);
+    expectGolden(mixedSrc, RenoConfig::fullIt(), MixedGolden[2]);
 }
 
 // ---- stall-counter attribution ------------------------------------------

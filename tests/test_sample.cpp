@@ -18,6 +18,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
@@ -232,6 +234,61 @@ TEST(Interval, CheckpointAcceleratesWithoutChangingResults)
         runIntervalDetailed(w, other, win, &at_start);
     EXPECT_TRUE(sameSim(recomputed,
                         runIntervalDetailed(w, other, win)));
+}
+
+TEST(Interval, SingleCoreWindowsMatchFrozenGolden)
+{
+    // Every registry field of two 1-core windows, frozen from the
+    // dedicated single-core engine that ran before every window became
+    // a System: the paper's hierarchy, and a deep one (L3, stride
+    // prefetchers, write-back traffic) whose every shared level
+    // carries warmed state into the System. Unlisted fields are zero.
+    struct Golden {
+        const char *workload;
+        const char *config;
+        std::uint64_t startInst;
+        std::map<std::string, std::uint64_t> nonzero;
+    };
+    const Golden goldens[] = {
+        {"gzip", "RENO", 200'000,
+         {{"cycles", 2057}, {"retired", 5000}, {"retiredLoads", 1002},
+          {"retiredStores", 120}, {"retiredBranches", 1014},
+          {"itAccesses", 2036}, {"itHits", 96}, {"bpLookups", 1020},
+          {"bpMispredicts", 72}, {"dcacheMisses", 3}, {"l2Misses", 1},
+          {"elim0", 3426}, {"elim1", 168}, {"elim2", 1310}, {"elim4", 96},
+          {"icacheHits", 1032}, {"dcacheHits", 1118}, {"l2Hits", 2},
+          {"bpDirMispredicts", 72}, {"c0Cycles", 2057},
+          {"c0Retired", 5000}}},
+        {"mem.stream.1m", "RENO/l3/pf-stride/wb", 300'000,
+         {{"cycles", 10430}, {"retired", 5000}, {"retiredLoads", 714},
+          {"retiredStores", 714}, {"retiredBranches", 714},
+          {"itAccesses", 2144}, {"bpLookups", 714}, {"dcacheMisses", 176},
+          {"l2Misses", 3}, {"stallRob", 9270}, {"elim0", 2856},
+          {"elim2", 2144}, {"l3Misses", 90}, {"icacheHits", 1428},
+          {"dcacheHits", 714}, {"dcacheMshrMerges", 539},
+          {"l2MshrMerges", 176}, {"dcacheWritebacks", 179},
+          {"dcachePrefetchIssued", 3}, {"l2PrefetchIssued", 87},
+          {"dcachePrefetchUseful", 3}, {"l2PrefetchUseful", 86},
+          {"c0Cycles", 10430}, {"c0Retired", 5000}}},
+    };
+    for (const Golden &g : goldens) {
+        NamedConfig cfg;
+        ASSERT_TRUE(configByName(g.config, CoreParams::fourWide(), &cfg));
+        IntervalWindow win;
+        win.startInst = g.startInst;
+        win.warmupInsts = 2000;
+        win.measureInsts = 5000;
+        const SimResult got =
+            runIntervalDetailed(workloadByName(g.workload), cfg.params,
+                                win);
+        for (const SimStatField &f : simResultFields()) {
+            const auto it = g.nonzero.find(f.name);
+            EXPECT_EQ(statValue(got, f),
+                      it == g.nonzero.end() ? 0u : it->second)
+                << g.workload << " " << g.config << ": field '"
+                << f.name << "'";
+        }
+    }
 }
 
 // ---- checkpoint store -----------------------------------------------
@@ -656,44 +713,35 @@ TEST(Warming, WarmConfigDigestTracksBpredVariants)
 namespace
 {
 
-/** N emulator streams the way the sampled campaign builds them:
- *  per-core seed offset and core id over one assembled program. */
-std::vector<std::unique_ptr<Emulator>>
-makeEmus(const Program &prog, const Workload &w, unsigned cores)
-{
-    std::vector<std::unique_ptr<Emulator>> emus;
-    for (unsigned c = 0; c < cores; ++c) {
-        Emulator::Options opts;
-        opts.randSeed = w.seed + c;
-        opts.coreId = c;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-    }
-    return emus;
-}
-
-std::vector<Emulator *>
-rawPtrs(const std::vector<std::unique_ptr<Emulator>> &emus)
-{
-    std::vector<Emulator *> ptrs;
-    for (const auto &e : emus)
-        ptrs.push_back(e.get());
-    return ptrs;
-}
-
 /** Snapshot N warmed emulators + the system warm state into one
  *  checkpoint (the multi-core persistence unit). */
 SampleCheckpoint
-multiCkpt(const std::vector<std::unique_ptr<Emulator>> &emus,
-          const SysWarmState &warm)
+multiCkpt(const SpmdEmulators &emus, const SysWarmState &warm)
 {
     SampleCheckpoint ckpt;
-    ckpt.emu =
-        std::make_shared<const EmuCheckpoint>(emus[0]->checkpoint());
-    for (std::size_t i = 1; i < emus.size(); ++i)
+    ckpt.emu = std::make_shared<const EmuCheckpoint>(
+        emus.cores()[0]->checkpoint());
+    for (std::size_t i = 1; i < emus.cores().size(); ++i)
         ckpt.extraEmus.push_back(std::make_shared<const EmuCheckpoint>(
-            emus[i]->checkpoint()));
+            emus.cores()[i]->checkpoint()));
     ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
     return ckpt;
+}
+
+/** Warm @p cores SPMD streams to aggregate position @p pos and put
+ *  the snapshot in @p store. */
+void
+storeMultiCkpt(CheckpointStore &store, const Workload &w,
+               const CoreParams &params, unsigned cores,
+               std::uint64_t pos)
+{
+    const SpmdEmulators emus(w, cores);
+    SysWarmState warm(params.mem, params.bpred, cores);
+    warmStepMulti(emus.cores(), warm, pos);
+    std::vector<EmuCheckpoint> snaps;
+    for (const Emulator *e : emus.cores())
+        snaps.push_back(e->checkpoint());
+    store.storeMulti(w, pos, std::move(snaps), warm);
 }
 
 /** Recompute the trailing integrity digest after mutating the body,
@@ -723,21 +771,20 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
     // shared stack and the MESI directory all ride the encoding.
     const Workload &w = workloadByName("gzip");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
 
     for (const unsigned cores : {2u, 4u}) {
         const std::uint64_t final_bound = 900 * cores;
         const std::uint64_t chop = 350 * cores + 1;  // mid-interleave
 
-        auto straight = makeEmus(prog, w, cores);
+        const SpmdEmulators straight(w, cores);
         SysWarmState whole(params.mem, params.bpred, cores);
-        warmStepMulti(rawPtrs(straight), whole, final_bound);
+        warmStepMulti(straight.cores(), whole, final_bound);
         const std::string want =
             CheckpointStore::encode(multiCkpt(straight, whole));
 
-        auto chopped = makeEmus(prog, w, cores);
+        const SpmdEmulators chopped(w, cores);
         SysWarmState first(params.mem, params.bpred, cores);
-        warmStepMulti(rawPtrs(chopped), first, chop);
+        warmStepMulti(chopped.cores(), first, chop);
         const std::string mid =
             CheckpointStore::encode(multiCkpt(chopped, first));
 
@@ -747,12 +794,12 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
                                             cores))
             << cores << " cores";
 
-        auto resumed = makeEmus(prog, w, cores);
-        resumed[0]->restore(*decoded.emu);
+        const SpmdEmulators resumed(w, cores);
+        resumed.cores()[0]->restore(*decoded.emu);
         for (unsigned c = 1; c < cores; ++c)
-            resumed[c]->restore(*decoded.extraEmus[c - 1]);
+            resumed.cores()[c]->restore(*decoded.extraEmus[c - 1]);
         SysWarmState warm(*decoded.sysWarm);
-        warmStepMulti(rawPtrs(resumed), warm, final_bound);
+        warmStepMulti(resumed.cores(), warm, final_bound);
 
         EXPECT_EQ(CheckpointStore::encode(multiCkpt(resumed, warm)),
                   want)
@@ -777,16 +824,7 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
     const SimResult plain = runIntervalDetailed(w, params, win);
 
     CheckpointStore store;
-    {
-        const Program &prog = assembleWorkload(w);
-        auto emus = makeEmus(prog, w, 2);
-        SysWarmState warm(params.mem, params.bpred, 2);
-        warmStepMulti(rawPtrs(emus), warm, 30'000);
-        std::vector<EmuCheckpoint> snaps;
-        for (const auto &e : emus)
-            snaps.push_back(e->checkpoint());
-        store.storeMulti(w, 30'000, std::move(snaps), warm);
-    }
+    storeMultiCkpt(store, w, params, 2, 30'000);
     const SampleCheckpoint ckpt =
         store.lookup(w, 30'000, params.mem, params.bpred, 2);
     ASSERT_TRUE(ckpt.usable());
@@ -798,6 +836,56 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
         EXPECT_EQ(statValue(via_ckpt, f), statValue(plain, f))
             << "window stat '" << f.name
             << "' changed under the checkpoint";
+    }
+}
+
+TEST(MultiWarming, CheckpointOfAnotherCoreCountIsIgnored)
+{
+    // A checkpoint carries the warm half of its own core count only.
+    // Handed to a window of another core count it must be ignored --
+    // never read as the missing half -- in both directions, leaving
+    // every registry stat equal to the uncheckpointed window's.
+    const Workload &w = workloadByName("adpcm.dec");
+    const CoreParams one = baseParams();
+    CoreParams two = one;
+    two.sys.numCores = 2;
+    IntervalWindow win;
+    win.startInst = 40'000;
+    win.warmupInsts = 1000;
+    win.measureInsts = 4000;
+
+    CheckpointStore store;
+    {
+        const SpmdEmulators emus(w, 1);
+        WarmState warm(one.mem, one.bpred);
+        warmStep(*emus.cores()[0], warm, 30'000);
+        store.store(w, 30'000, emus.cores()[0]->checkpoint(), warm);
+    }
+    storeMultiCkpt(store, w, two, 2, 30'000);
+    const SampleCheckpoint ckpt1 =
+        store.lookup(w, 30'000, one.mem, one.bpred, 1);
+    const SampleCheckpoint ckpt2 =
+        store.lookup(w, 30'000, two.mem, two.bpred, 2);
+    ASSERT_TRUE(ckpt1.usable());
+    ASSERT_TRUE(ckpt2.usable());
+    ASSERT_EQ(ckpt2.numCores(), 2u);
+
+    const struct {
+        const char *label;
+        const CoreParams &params;
+        const SampleCheckpoint &ckpt;
+    } crossings[] = {
+        {"1-core window, 2-core checkpoint", one, ckpt2},
+        {"2-core window, 1-core checkpoint", two, ckpt1},
+    };
+    for (const auto &c : crossings) {
+        const SimResult plain = runIntervalDetailed(w, c.params, win);
+        const SimResult crossed =
+            runIntervalDetailed(w, c.params, win, &c.ckpt);
+        EXPECT_GT(plain.retired, 0u) << c.label;
+        for (const SimStatField &f : simResultFields())
+            EXPECT_EQ(statValue(crossed, f), statValue(plain, f))
+                << c.label << ": field '" << f.name << "'";
     }
 }
 
@@ -862,13 +950,12 @@ TEST(CheckpointRejection, TruncatedFileDiesWithReason)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 1);
+    const SpmdEmulators emus(w, 1);
     WarmState warm(params.mem, params.bpred);
-    warmStep(*emus[0], warm, 20'000);
+    warmStep(*emus.cores()[0], warm, 20'000);
     CheckpointStore store;
     const std::string text = CheckpointStore::encode(
-        store.store(w, 20'000, emus[0]->checkpoint(), warm));
+        store.store(w, 20'000, emus.cores()[0]->checkpoint(), warm));
 
     // Cut before any digest can be found: a truncated download/write.
     const std::string truncated = text.substr(0, 10);
@@ -891,10 +978,9 @@ TEST(CheckpointRejection, WrongCoreCountDiesWithBothCounts)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 2);
+    const SpmdEmulators emus(w, 2);
     SysWarmState warm(params.mem, params.bpred, 2);
-    warmStepMulti(rawPtrs(emus), warm, 1000);
+    warmStepMulti(emus.cores(), warm, 1000);
     const std::string text =
         CheckpointStore::encode(multiCkpt(emus, warm));
 
@@ -912,10 +998,9 @@ TEST(CheckpointRejection, CorruptPerCoreBlocksDieNamingTheCore)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 2);
+    const SpmdEmulators emus(w, 2);
     SysWarmState warm(params.mem, params.bpred, 2);
-    warmStepMulti(rawPtrs(emus), warm, 1000);
+    warmStepMulti(emus.cores(), warm, 1000);
     const std::string text =
         CheckpointStore::encode(multiCkpt(emus, warm));
 
