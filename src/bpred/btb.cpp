@@ -17,13 +17,13 @@ Btb::Btb(const BtbParams &params)
     if (params.entries % params.assoc != 0)
         fatal("BTB: associativity %u does not divide %u entries",
               params.assoc, params.entries);
+    setMask_ = params.entries / params.assoc - 1;
 }
 
 bool
 Btb::lookup(Addr pc, Addr *target) const
 {
-    const unsigned sets = params_.entries / params_.assoc;
-    const unsigned set = static_cast<unsigned>((pc >> 2) % sets);
+    const unsigned set = setIndex(pc);
     for (unsigned w = 0; w < params_.assoc; ++w) {
         const Entry &e = entries_[set * params_.assoc + w];
         if (e.valid && e.tag == pc) {
@@ -37,8 +37,7 @@ Btb::lookup(Addr pc, Addr *target) const
 void
 Btb::insert(Addr pc, Addr target)
 {
-    const unsigned sets = params_.entries / params_.assoc;
-    const unsigned set = static_cast<unsigned>((pc >> 2) % sets);
+    const unsigned set = setIndex(pc);
     Entry *victim = nullptr;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Entry &e = entries_[set * params_.assoc + w];

@@ -63,7 +63,16 @@ class Btb
         std::uint64_t lruStamp = 0;
     };
 
+    unsigned
+    setIndex(Addr pc) const
+    {
+        return static_cast<unsigned>((pc >> 2) & setMask_);
+    }
+
     BtbParams params_;
+    /** Sets - 1: the set count divides a power of two, so it is one,
+     *  and the index is a mask, not a division. */
+    unsigned setMask_;
     std::vector<Entry> entries_;
     std::uint64_t lruClock_ = 0;
 };

@@ -291,11 +291,13 @@ class TournamentPredictor final : public DirectionPredictor
     }
 
   private:
+    // Table sizes are validated powers of two: mask, never divide
+    // (this runs on every branch of functional warming).
     unsigned
     bimodalIndex(Addr pc) const
     {
-        return static_cast<unsigned>((pc >> 2) %
-                                     params_.bimodalEntries);
+        return static_cast<unsigned>((pc >> 2) &
+                                     (params_.bimodalEntries - 1));
     }
 
     unsigned
@@ -304,15 +306,15 @@ class TournamentPredictor final : public DirectionPredictor
         const std::uint64_t hist =
             history_ &
             ((std::uint64_t{1} << params_.historyBits) - 1);
-        return static_cast<unsigned>(((pc >> 2) ^ hist) %
-                                     params_.gshareEntries);
+        return static_cast<unsigned>(((pc >> 2) ^ hist) &
+                                     (params_.gshareEntries - 1));
     }
 
     unsigned
     chooserIndex(Addr pc) const
     {
-        return static_cast<unsigned>((pc >> 2) %
-                                     params_.chooserEntries);
+        return static_cast<unsigned>((pc >> 2) &
+                                     (params_.chooserEntries - 1));
     }
 
     DirPredParams params_;

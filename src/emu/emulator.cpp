@@ -204,8 +204,9 @@ Emulator::step()
 
     // Source the decoded form from the block cache when possible. The
     // cursor tracks the position inside the current block across
-    // step() calls, so the per-step oracle/warmup path skips both the
-    // hash lookup and the re-decode on every instruction of a block.
+    // step() calls, so the detailed core's per-step oracle skips both
+    // the hash lookup and the re-decode on every instruction of a
+    // block.
     const DecodedOp *dop = nullptr;
     if (opts_.decodedExec) {
         if (!(curBlock_ != nullptr && curIdx_ < curBlock_->ops.size() &&
@@ -332,26 +333,47 @@ Emulator::step()
 std::uint64_t
 Emulator::run()
 {
-    return runBounded(std::numeric_limits<std::uint64_t>::max());
+    return runBounded(std::numeric_limits<std::uint64_t>::max(),
+                      nullptr);
 }
 
 std::uint64_t
 Emulator::runUntil(std::uint64_t inst_bound)
+{
+    return runBounded(inst_bound, nullptr);
+}
+
+std::uint64_t
+Emulator::runUntil(std::uint64_t inst_bound, AccessSink &sink)
+{
+    return runBounded(inst_bound, &sink);
+}
+
+void
+Emulator::stepInto(AccessSink *sink)
+{
+    const ExecRecord rec = step();
+    if (sink == nullptr)
+        return;
+    sink->fetch(rec.pc);
+    const InstClass cls = rec.inst.info().cls;
+    if (cls == InstClass::Load || cls == InstClass::Store)
+        sink->data(rec.effAddr, cls == InstClass::Store);
+    else if (isControl(rec.inst.op))
+        sink->control(rec.pc, rec.inst, rec.taken, rec.npc);
+}
+
+std::uint64_t
+Emulator::runBounded(std::uint64_t inst_bound, AccessSink *sink)
 {
     if (inst_bound < instCount_)
         fatal("Emulator::runUntil: bound %llu is below the %llu "
               "instructions already retired",
               static_cast<unsigned long long>(inst_bound),
               static_cast<unsigned long long>(instCount_));
-    return runBounded(inst_bound);
-}
-
-std::uint64_t
-Emulator::runBounded(std::uint64_t inst_bound)
-{
     if (!opts_.decodedExec) {
         while (!done_ && instCount_ < inst_bound)
-            step();
+            stepInto(sink);
         return instCount_;
     }
 
@@ -378,11 +400,15 @@ Emulator::runBounded(std::uint64_t inst_bound)
         if (blk == nullptr) {
             // pc outside text or an un-decodable word: one interpreter
             // step reproduces the exact fatal/panic diagnostics.
-            step();
+            stepInto(sink);
             continue;
         }
         const std::uint64_t before = instCount_;
-        execDecoded(blk, idx, std::min(inst_bound, opts_.maxInsts));
+        const std::uint64_t limit = std::min(inst_bound, opts_.maxInsts);
+        if (sink != nullptr)
+            execDecoded<true>(blk, idx, limit, sink);
+        else
+            execDecoded<false>(blk, idx, limit, nullptr);
         decodedInsts_ += instCount_ - before;
     }
     return instCount_;
@@ -459,9 +485,10 @@ Emulator::flushBlockMetrics() const
     reg.counter("emu.insts.interpreted").inc(interpInsts_);
 }
 
+template <bool WithSink>
 void
 Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
-                      std::uint64_t limit)
+                      std::uint64_t limit, AccessSink *sink)
 {
     std::uint64_t *const regs = state_.regs;
 
@@ -490,12 +517,14 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
         DISPATCH();                                                     \
     } while (0)
 
-// Retire the block's terminal op and redirect to next_pc.
+// Retire the block's terminal (control) op and redirect to next_pc.
 #define FINISH(next_pc, taken)                                          \
     do {                                                                \
         ++instCount_;                                                   \
         npc = (next_pc);                                                \
         takenEdge = (taken);                                            \
+        if constexpr (WithSink)                                         \
+            sink->control(op->pc, op->inst, takenEdge, npc);            \
         goto block_done;                                                \
     } while (0)
 
@@ -504,6 +533,8 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
 #define CHAIN_OR_FINISH()                                               \
     do {                                                                \
         if (op + 1 != opEnd) {                                          \
+            if constexpr (WithSink)                                     \
+                sink->control(op->pc, op->inst, true, op->target);      \
             ++instCount_;                                               \
             ++op;                                                       \
             if (instCount_ >= limit)                                    \
@@ -528,8 +559,15 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
     };
     static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
                   static_cast<std::size_t>(Handler::NumHandlers));
+// Every dispatch reports the op's fetch first (program order: an op's
+// data/control event follows its own fetch, precedes the next one's).
 #define HANDLER(name) lbl_##name
-#define DISPATCH() goto *kJump[static_cast<std::size_t>(op->handler)]
+#define DISPATCH()                                                      \
+    do {                                                                \
+        if constexpr (WithSink)                                         \
+            sink->fetch(op->pc);                                        \
+        goto *kJump[static_cast<std::size_t>(op->handler)];             \
+    } while (0)
 #else
 #define HANDLER(name) case Handler::name
 #define DISPATCH() goto dispatch
@@ -546,6 +584,8 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
         DISPATCH();
 #else
       dispatch:
+        if constexpr (WithSink)
+            sink->fetch(op->pc);
         switch (op->handler) {
 #endif
 
@@ -670,6 +710,8 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
 
     HANDLER(Load): {
         const Addr ea = regs[op->ra] + static_cast<Addr>(op->immS);
+        if constexpr (WithSink)
+            sink->data(ea, false);
         std::uint64_t v = mem_.read(ea, op->memSize);
         if (op->signedLoad)
             v = static_cast<std::uint64_t>(
@@ -680,6 +722,8 @@ Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
     HANDLER(Store): {
         const Addr ea = regs[op->ra] + static_cast<Addr>(op->immS);
         const unsigned size = op->memSize;
+        if constexpr (WithSink)
+            sink->data(ea, true);
         mem_.write(ea, regs[op->rb], size);
         if (ea < textEnd_ && ea + size > textBase_) {
             // Self-modifying code: the invalidation below may free

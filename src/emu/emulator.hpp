@@ -86,6 +86,32 @@ struct ExecRecord {
     bool exited = false;       //!< this instruction ended the program
 };
 
+/**
+ * Observer of the access stream an instruction sequence makes, in
+ * program order: the stream functional warming feeds into cache and
+ * predictor models (sample/warmup.hpp). Emulator::runUntil(bound,
+ * sink) reports through it from the decoded engine at full speed --
+ * no ExecRecord is built -- and derives the identical events from
+ * the per-step interpreter wherever that engine falls back to it.
+ *
+ * Per executed instruction: fetch(pc) first, then data() for a load
+ * or store, or control() for a branch, jump, call or return (never
+ * both). An instruction that ends the program reports its fetch too.
+ */
+class AccessSink
+{
+  public:
+    virtual ~AccessSink() = default;
+    /** The instruction at @p pc executes (every instruction). */
+    virtual void fetch(Addr pc) = 0;
+    /** A load (@p write false) or store touched @p addr. */
+    virtual void data(Addr addr, bool write) = 0;
+    /** Control instruction @p inst at @p pc resolved: @p taken is
+     *  whether the pc redirected, @p npc the actual next pc. */
+    virtual void control(Addr pc, const Instruction &inst, bool taken,
+                         Addr npc) = 0;
+};
+
 /** Evaluate a non-memory, non-control operation (shared with tests). */
 std::uint64_t evalAlu(Opcode op, std::uint64_t a, std::uint64_t b,
                       std::int32_t imm);
@@ -156,6 +182,10 @@ class Emulator
      */
     std::uint64_t runUntil(std::uint64_t inst_bound);
 
+    /** runUntil(), reporting every executed instruction's fetch, data
+     *  and control events to @p sink (see AccessSink). */
+    std::uint64_t runUntil(std::uint64_t inst_bound, AccessSink &sink);
+
     /** Snapshot the complete functional state. */
     EmuCheckpoint checkpoint() const;
 
@@ -191,14 +221,23 @@ class Emulator
     std::uint64_t doSyscall();
 
     /** Shared bounded-run loop behind run()/runUntil(): retire
-     *  instructions until exit or instCount() reaches @p inst_bound. */
-    std::uint64_t runBounded(std::uint64_t inst_bound);
+     *  instructions until exit or instCount() reaches @p inst_bound,
+     *  reporting to @p sink when it is non-null. */
+    std::uint64_t runBounded(std::uint64_t inst_bound, AccessSink *sink);
+
+    /** One interpreter step(), its events derived from the ExecRecord
+     *  and reported to @p sink when it is non-null. */
+    void stepInto(AccessSink *sink);
 
     /** Threaded-dispatch engine: execute @p blk from @p start_idx,
      *  following block links, until exit, an un-decodable pc, or
-     *  instCount() reaches @p limit. Pre: instCount() < limit. */
+     *  instCount() reaches @p limit, reporting to @p sink when
+     *  @p WithSink. Pre: instCount() < limit. Instantiated for both,
+     *  so runs without a sink carry no per-op sink test (measured
+     *  ~10% of plain emulation on branch-heavy code). */
+    template <bool WithSink>
     void execDecoded(DecodedBlock *blk, std::size_t start_idx,
-                     std::uint64_t limit);
+                     std::uint64_t limit, AccessSink *sink);
 
     /** Cached block entered at @p pc, decoding (and, when hot,
      *  superblock-promoting) on demand. nullptr when @p pc cannot be

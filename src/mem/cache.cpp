@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 
@@ -26,10 +27,55 @@ Cache::Cache(const CacheParams &params, MemLevel *next)
     numSets_ = params_.sizeBytes / (params_.blockBytes * params_.assoc);
     if (numSets_ == 0)
         fatal("cache %s: size smaller than one set", params_.name.c_str());
+    blockShift_ =
+        static_cast<unsigned>(std::countr_zero(params_.blockBytes));
+    setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
     lines_.resize(static_cast<size_t>(numSets_) * params_.assoc);
     prefetcher_ =
         makePrefetcher(params_.prefetch, params_.blockBytes,
                        params_.name);
+}
+
+const Cycle *
+Cache::FillTable::find(Addr block) const
+{
+    for (const Entry &e : entries_) {
+        if (e.block == block)
+            return &e.ready;
+    }
+    return nullptr;
+}
+
+void
+Cache::FillTable::set(Addr block, Cycle ready)
+{
+    for (Entry &e : entries_) {
+        if (e.block != block)
+            continue;
+        // Rare (the line was evicted and missed again before its fill
+        // landed): the old cycle may have been the minimum.
+        e.ready = ready;
+        earliest_ = InvalidCycle;
+        for (const Entry &other : entries_)
+            earliest_ = std::min(earliest_, other.ready);
+        return;
+    }
+    entries_.push_back({block, ready});
+    earliest_ = std::min(earliest_, ready);
+}
+
+void
+Cache::FillTable::retireSlow(Cycle now)
+{
+    earliest_ = InvalidCycle;
+    std::size_t kept = 0;
+    for (const Entry &e : entries_) {
+        if (e.ready <= now)
+            continue;
+        entries_[kept++] = e;
+        earliest_ = std::min(earliest_, e.ready);
+    }
+    entries_.resize(kept);
 }
 
 Cache::Line *
@@ -103,7 +149,7 @@ Cache::maybePrefetch(Addr block, bool miss, Cycle now)
         // identity rely on). The timing entry is recorded only while
         // the queue has room: untracked fills are merely
         // timing-optimistic, and the bound keeps the per-access
-        // retire scan O(numMshrs) instead of growing without limit
+        // table scans O(numMshrs) instead of growing without limit
         // under cycle-0 functional warming, where no entry ever
         // retires.
         const Cycle done =
@@ -111,7 +157,7 @@ Cache::maybePrefetch(Addr block, bool miss, Cycle now)
                           now + params_.latency,
                           MemAccessKind::Prefetch);
         if (prefetchFills_.size() < 2 * params_.numMshrs)
-            prefetchFills_[cand] = done;
+            prefetchFills_.set(cand, done);
         fill(cand, now + params_.latency, false, true);
         ++prefetchIssued_;
     }
@@ -138,19 +184,8 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
     // Retire MSHRs and prefetch fills whose fills have landed
     // (timing bookkeeping only; the tag array is updated eagerly at
     // miss time).
-    for (auto it = mshrs_.begin(); it != mshrs_.end();) {
-        if (it->second <= now)
-            it = mshrs_.erase(it);
-        else
-            ++it;
-    }
-    for (auto it = prefetchFills_.begin();
-         it != prefetchFills_.end();) {
-        if (it->second <= now)
-            it = prefetchFills_.erase(it);
-        else
-            ++it;
-    }
+    mshrs_.retire(now);
+    prefetchFills_.retire(now);
 
     if (Line *line = findLine(block)) {
         line->lruStamp = ++lruClock_;
@@ -164,13 +199,12 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
         // The block may still be in flight (a demand miss or a
         // prefetch fill): an access before the fill completes merges
         // into the outstanding request.
-        if (auto it = mshrs_.find(block); it != mshrs_.end()) {
+        if (const Cycle *fill = mshrs_.find(block)) {
             ++mshrMerges_;
-            ready = it->second + params_.latency;
-        } else if (auto pf = prefetchFills_.find(block);
-                   pf != prefetchFills_.end()) {
+            ready = *fill + params_.latency;
+        } else if (const Cycle *pf = prefetchFills_.find(block)) {
             ++mshrMerges_;
-            ready = pf->second + params_.latency;
+            ready = *pf + params_.latency;
         } else {
             ++hits_;
             ready = now + params_.latency;
@@ -184,17 +218,8 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
     // All MSHRs busy: wait for the earliest one to retire first.
     Cycle start = now;
     if (mshrs_.size() >= params_.numMshrs) {
-        Cycle earliest = InvalidCycle;
-        for (const auto &[blk, fill_cycle] : mshrs_) {
-            if (fill_cycle < earliest)
-                earliest = fill_cycle;
-        }
-        for (auto it = mshrs_.begin(); it != mshrs_.end();) {
-            if (it->second <= earliest)
-                it = mshrs_.erase(it);
-            else
-                ++it;
-        }
+        const Cycle earliest = mshrs_.earliest();
+        mshrs_.retire(earliest);
         start = std::max(start, earliest);
     }
 
@@ -203,7 +228,7 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
                       start + params_.latency,
                       demand ? MemAccessKind::Read
                              : MemAccessKind::Prefetch);
-    mshrs_[block] = fill_done;
+    mshrs_.set(block, fill_done);
     // Eager tag fill: the line is installed (and a victim evicted) at
     // miss time; the MSHR entry carries the timing. The prefetched
     // flag marks only lines installed by THIS level's prefetcher

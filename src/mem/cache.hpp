@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -163,8 +162,15 @@ class Cache final : public MemLevel
         std::uint64_t lruStamp = 0;
     };
 
-    Addr blockAddr(Addr addr) const { return addr / params_.blockBytes; }
-    unsigned setIndex(Addr block) const { return block % numSets_; }
+    // Shift and mask (the hot path runs on every warming access); the
+    // block size is a validated power of two, the set count may not be.
+    Addr blockAddr(Addr addr) const { return addr >> blockShift_; }
+    unsigned
+    setIndex(Addr block) const
+    {
+        return static_cast<unsigned>(
+            setsPow2_ ? block & (numSets_ - 1) : block % numSets_);
+    }
 
     Line *findLine(Addr block);
     const Line *findLine(Addr block) const;
@@ -177,21 +183,69 @@ class Cache final : public MemLevel
 
     CacheParams params_;
     unsigned numSets_;
+    unsigned blockShift_;
+    bool setsPow2_;
     std::vector<Line> lines_;      //!< numSets_ * assoc
     std::uint64_t lruClock_ = 0;
 
-    /** Outstanding demand misses: block -> fill-complete cycle. */
-    std::map<Addr, Cycle> mshrs_;
+    /**
+     * A bounded block -> fill-complete-cycle table, kept as a flat
+     * array scanned linearly (a few dozen entries at most) with its
+     * earliest fill cycle cached: retire() is a single compare until
+     * `now` reaches that cycle -- which under cycle-0 functional
+     * warming is never -- so a hit costs two short scans and no
+     * retire walk. Entry order carries no meaning.
+     */
+    class FillTable
+    {
+      public:
+        std::size_t size() const { return entries_.size(); }
+        Cycle earliest() const { return earliest_; }
 
-    /** In-flight prefetch fills: block -> fill-complete cycle. A
-     *  separate queue, so prefetch traffic never occupies (or stalls
-     *  on) a demand MSHR; entries are admitted only up to a
-     *  2x-numMshrs bound, so the prefetch issue decision depends on
-     *  the tag array alone -- the purity functional warming and
-     *  checkpoint chop/resume identity rely on -- and the map stays
-     *  small. A demand access catching up to an in-flight prefetch
-     *  merges into its timing like an MSHR hit. */
-    std::map<Addr, Cycle> prefetchFills_;
+        /** Fill cycle of @p block, or nullptr when not in flight. */
+        const Cycle *find(Addr block) const;
+
+        /** Insert or overwrite @p block's entry. */
+        void set(Addr block, Cycle ready);
+
+        /** Drop every entry that has filled by @p now. */
+        void
+        retire(Cycle now)
+        {
+            if (now >= earliest_)
+                retireSlow(now);
+        }
+
+        void
+        clear()
+        {
+            entries_.clear();
+            earliest_ = InvalidCycle;
+        }
+
+      private:
+        struct Entry {
+            Addr block;
+            Cycle ready;
+        };
+        void retireSlow(Cycle now);
+
+        std::vector<Entry> entries_;
+        Cycle earliest_ = InvalidCycle;  //!< min ready; Invalid if empty
+    };
+
+    /** Outstanding demand misses, at most numMshrs entries. */
+    FillTable mshrs_;
+
+    /** In-flight prefetch fills. A separate queue, so prefetch traffic
+     *  never occupies (or stalls on) a demand MSHR; entries are
+     *  admitted only up to a 2x-numMshrs bound, so the prefetch issue
+     *  decision depends on the tag array alone -- the purity
+     *  functional warming and checkpoint chop/resume identity rely
+     *  on -- and the table stays small. A demand access catching up
+     *  to an in-flight prefetch merges into its timing like an MSHR
+     *  hit. */
+    FillTable prefetchFills_;
 
     MemLevel *next_;
     EvictionListener evictionListener_;

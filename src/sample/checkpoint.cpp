@@ -6,6 +6,7 @@
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "harness/experiment.hpp"
 
 namespace reno::sample
 {
@@ -880,6 +881,50 @@ writeFileAtomic(const std::string &dir, const std::string &path,
     }
 }
 
+/**
+ * Whether @p ckpt can resume @p prog toward a window at @p start_inst;
+ * on false, @p why names the first offending core. The integrity
+ * digest only proves a file is the one written, so a file resealed
+ * with bad contents must still fail here rather than kill the window:
+ * every core's snapshot must be of this program, at a 4-aligned pc
+ * inside text (a core that already exited never fetches again, so
+ * its pc only needs the alignment), with the aggregate executed count
+ * no later than the window start.
+ */
+bool
+resumable(const SampleCheckpoint &ckpt, const Program &prog,
+          std::uint64_t start_inst, std::string *why)
+{
+    const std::uint64_t digest = programDigest(prog);
+    std::vector<const EmuCheckpoint *> cores = {ckpt.emu.get()};
+    for (const auto &extra : ckpt.extraEmus)
+        cores.push_back(extra.get());
+    std::uint64_t executed = 0;
+    for (std::size_t c = 0; c < cores.size(); ++c) {
+        const EmuCheckpoint &emu = *cores[c];
+        if (emu.progDigest != digest) {
+            *why = strprintf("core %zu snapshots another program", c);
+            return false;
+        }
+        const Addr pc = emu.state.pc;
+        if ((pc & 3) != 0 || (!emu.done && !prog.inText(pc))) {
+            *why = strprintf("core %zu pc 0x%llx is not a text "
+                             "address", c,
+                             static_cast<unsigned long long>(pc));
+            return false;
+        }
+        if (emu.instCount > start_inst - executed) {
+            *why = strprintf("snapshots more than the %llu "
+                             "instructions before the window",
+                             static_cast<unsigned long long>(
+                                 start_inst));
+            return false;
+        }
+        executed += emu.instCount;
+    }
+    return true;
+}
+
 } // namespace
 
 SampleCheckpoint
@@ -906,7 +951,9 @@ CheckpointStore::lookup(const Workload &workload,
     SampleCheckpoint ckpt;
     std::string why;
     if (!decode(text, mem_params, bp_params, &ckpt, num_cores,
-                &why)) {
+                &why) ||
+        !resumable(ckpt, assembleWorkload(workload), start_inst,
+                   &why)) {
         warn("checkpoint store: ignoring malformed entry %s (%s)",
              checkpointPath(key).c_str(), why.c_str());
         return {};

@@ -1,5 +1,7 @@
 #include "sample/warmup.hpp"
 
+#include <bit>
+
 #include "common/digest.hpp"
 #include "common/log.hpp"
 
@@ -170,6 +172,57 @@ SysWarmState::build()
     lastFetchBlock_.assign(numCores_, ~Addr{0});
 }
 
+namespace
+{
+
+/** Feeds one core's access stream into its warm tables: one I$ access
+ *  per fetched block (matching the core's fetch), every data access,
+ *  and every control outcome into the predictor -- all at cycle 0. */
+class WarmSink final : public AccessSink
+{
+  public:
+    WarmSink(MemHierarchy &mem, BranchPredictor &bp,
+             Addr &last_fetch_block, unsigned iblock_bytes)
+        : mem_(mem), bp_(bp), lastFetchBlock_(last_fetch_block),
+          iblockShift_(static_cast<unsigned>(
+              std::countr_zero(iblock_bytes)))
+    {
+    }
+
+    void
+    fetch(Addr pc) override
+    {
+        // The I$ block size is a power of two (Cache validates it).
+        const Addr block = pc >> iblockShift_;
+        if (block != lastFetchBlock_) {
+            mem_.fetchAccess(pc, 0);
+            lastFetchBlock_ = block;
+        }
+    }
+
+    void
+    data(Addr addr, bool write) override
+    {
+        mem_.dataAccess(addr, 0, write);
+    }
+
+    void
+    control(Addr pc, const Instruction &inst, bool taken,
+            Addr npc) override
+    {
+        bp_.predict(pc, inst);
+        bp_.update(pc, inst, taken, npc);
+    }
+
+  private:
+    MemHierarchy &mem_;
+    BranchPredictor &bp_;
+    Addr &lastFetchBlock_;
+    unsigned iblockShift_;
+};
+
+} // namespace
+
 void
 warmStepMulti(const std::vector<Emulator *> &emus, SysWarmState &warm,
               std::uint64_t aggregate_bound)
@@ -178,7 +231,13 @@ warmStepMulti(const std::vector<Emulator *> &emus, SysWarmState &warm,
         fatal("warmStepMulti: %u-core warm state given %zu emulators",
               warm.numCores(), emus.size());
 
-    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
+    std::vector<WarmSink> sinks;
+    sinks.reserve(emus.size());
+    for (unsigned i = 0; i < emus.size(); ++i)
+        sinks.emplace_back(warm.coreMem(i), warm.coreBp(i),
+                           warm.lastFetchBlock(i),
+                           warm.memParams().icache.blockBytes);
+
     std::uint64_t total = 0;
     for (const Emulator *emu : emus)
         total += emu->instCount();
@@ -200,54 +259,19 @@ warmStepMulti(const std::vector<Emulator *> &emus, SysWarmState &warm,
         if (!next)
             break;  // every program exited before the bound
 
-        const Addr pc = next->state().pc;
-        const ExecRecord rec = next->step();
+        next->runUntil(next->instCount() + 1, sinks[next_core]);
         ++total;
-        const Addr block = pc / iblock_bytes;
-        if (block != warm.lastFetchBlock(next_core)) {
-            warm.coreMem(next_core).fetchAccess(pc, 0);
-            warm.lastFetchBlock(next_core) = block;
-        }
-        const InstClass cls = rec.inst.info().cls;
-        if (cls == InstClass::Load) {
-            warm.coreMem(next_core).dataAccess(rec.effAddr, 0, false);
-        } else if (cls == InstClass::Store) {
-            warm.coreMem(next_core).dataAccess(rec.effAddr, 0, true);
-        } else if (isControl(rec.inst.op)) {
-            warm.coreBp(next_core).predict(pc, rec.inst);
-            warm.coreBp(next_core).update(pc, rec.inst, rec.taken,
-                                          rec.npc);
-        }
     }
 }
 
 void
 warmStep(Emulator &emu, WarmState &warm, std::uint64_t inst_bound)
 {
-    // Warming must observe every access, so this is per-step by
-    // nature; step() still rides the emulator's decoded-block cursor
-    // (one table walk per block, not per instruction). The pure
-    // fast-forward to a window start -- no warming -- goes through
-    // Emulator::runUntil and the full superblock engine.
-    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
-    while (!emu.done() && emu.instCount() < inst_bound) {
-        const Addr pc = emu.state().pc;
-        const ExecRecord rec = emu.step();
-        const Addr block = pc / iblock_bytes;
-        if (block != warm.lastFetchBlock) {
-            warm.mem.fetchAccess(pc, 0);
-            warm.lastFetchBlock = block;
-        }
-        const InstClass cls = rec.inst.info().cls;
-        if (cls == InstClass::Load) {
-            warm.mem.dataAccess(rec.effAddr, 0, false);
-        } else if (cls == InstClass::Store) {
-            warm.mem.dataAccess(rec.effAddr, 0, true);
-        } else if (isControl(rec.inst.op)) {
-            warm.bp.predict(pc, rec.inst);
-            warm.bp.update(pc, rec.inst, rec.taken, rec.npc);
-        }
-    }
+    if (emu.instCount() >= inst_bound)
+        return;
+    WarmSink sink(warm.mem, warm.bp, warm.lastFetchBlock,
+                  warm.memParams().icache.blockBytes);
+    emu.runUntil(inst_bound, sink);
 }
 
 } // namespace reno::sample

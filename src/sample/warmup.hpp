@@ -16,10 +16,13 @@
  * parameters, never on the RENO configuration, so one warming pass
  * serves every configuration of a sweep.
  *
- * Warming consumes the emulator one step() at a time (it must see
- * every access); the decoded-superblock engine still accelerates it
- * through the per-step block cursor, and accelerates the access-blind
- * fast-forward to the first window by the full superblock margin.
+ * Warming runs on the emulator's decoded-superblock engine: the
+ * engine reports every fetch, data access and control outcome to an
+ * AccessSink (emu/emulator.hpp) as it executes, and the sink turns
+ * them into cycle-0 tag and predictor updates -- no per-instruction
+ * step() or ExecRecord. The MSHR and prefetch-fill tables skip their
+ * retire scan while nothing can have landed, so a cycle-0 access is a
+ * few compares deep.
  */
 #pragma once
 
@@ -71,10 +74,14 @@ class WarmState
 };
 
 /**
- * Step @p emu until at least @p inst_bound instructions have executed
- * (or the program exits), feeding the fetch, branch and data streams
- * into @p warm. All accesses are fed at cycle 0: tag fills are eager,
- * so the warmed tables are independent of timing.
+ * Run @p emu until at least @p inst_bound instructions have executed
+ * (or the program exits; a no-op when it is already there), feeding
+ * the fetch, branch and data streams into @p warm: one I$ access per
+ * fetched block, every data access, every control outcome trained
+ * into the predictor. One Emulator::runUntil() with an access sink,
+ * so the decoded engine runs at full speed. All accesses are fed at
+ * cycle 0: tag fills are eager, so the warmed tables are independent
+ * of timing.
  */
 void warmStep(Emulator &emu, WarmState &warm,
               std::uint64_t inst_bound);
@@ -153,18 +160,21 @@ class SysWarmState
 };
 
 /**
- * Interleaved functional warming of an N-core System: step the
+ * Interleaved functional warming of an N-core System: advance the
  * emulators until their aggregate executed-instruction count reaches
  * @p aggregate_bound (or every program exits), feeding each core's
  * fetch/branch/data streams into its slice of @p warm through the
- * shared stack and the warming bus.
+ * shared stack and the warming bus, each core through its own access
+ * sink (see warmStep).
  *
- * The interleave rule is stateless -- always step the live emulator
- * with the fewest executed instructions, ties to the lowest core id
- * -- which produces the canonical one-instruction round-robin in
- * core order and, crucially, resumes bit-exactly from a chop at ANY
- * aggregate bound: warming composes across checkpoint boundaries
- * exactly like the single-core warmStep.
+ * The interleave rule is stateless -- always advance the live
+ * emulator with the fewest executed instructions, ties to the lowest
+ * core id -- which produces the canonical one-instruction round-robin
+ * in core order and, crucially, resumes bit-exactly from a chop at
+ * ANY aggregate bound: warming composes across checkpoint boundaries
+ * exactly like the single-core warmStep. Each turn is a one-
+ * instruction Emulator::runUntil(), which resumes from the engine's
+ * mid-block cursor.
  */
 void warmStepMulti(const std::vector<Emulator *> &emus,
                    SysWarmState &warm,

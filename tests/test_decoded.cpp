@@ -22,6 +22,7 @@
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "smc_program.hpp"
 #include "sample/interval.hpp"
 #include "uarch/params.hpp"
 #include "uarch/sim_result.hpp"
@@ -232,44 +233,6 @@ TEST(DecodedEquivalence, CheckpointChopResumeMidSuperblock)
 
 // ---- self-modifying code invalidates decoded blocks -----------------
 
-namespace
-{
-
-/** A hot loop that, halfway through, overwrites its own increment
- *  instruction (addi r1, r1, 1 -> addi r1, r1, 2). Iterations 1..50
- *  add 1, 51..100 add 2: prints 150 iff the patch takes effect. */
-std::string
-smcSource()
-{
-    const std::uint32_t patched =
-        encode(Instruction::ri(Opcode::ADDI, 1, 1, 2));
-    return strprintf(R"(
-_start:
-    li r1, 0
-    li r2, 0
-    la r3, patchme
-    li r4, %u
-    li r5, 100
-loop:
-patchme:
-    addi r1, r1, 1
-    addi r2, r2, 1
-    seqi r6, r2, 50
-    beq r6, skip
-    stl r4, 0(r3)
-skip:
-    slt r6, r2, r5
-    bne r6, loop
-    mov a0, r1
-    li v0, 1
-    syscall
-    li v0, 0
-    syscall
-)", patched);
-}
-
-} // namespace
-
 TEST(SelfModifyingCode, StoreToCodePageInvalidatesAndReexecutes)
 {
     const Program prog = assemble(smcSource());
@@ -364,8 +327,8 @@ TEST(DecodedSimResults, MultiCoreRunIdenticalBothModes)
 TEST(DecodedSimResults, SampledIntervalIdenticalBothModes)
 {
     // The sampled path leans hardest on the engine: bulk fast-forward
-    // to the window, then per-step functional warming. One window per
-    // generated suite.
+    // to the window, then functional warming through an access sink.
+    // One window per generated suite.
     const CoreParams params = renoParams();
     for (const char *name : {"synth.plain", "mem.stream.32k",
                              "branch.loop"}) {

@@ -2,10 +2,14 @@
  * @file
  * Memory substrate tests: sparse memory, cache hit/miss behavior,
  * LRU replacement, MSHR merging, bus contention, write-back and
- * prefetch modeling, and hierarchies of configurable depth.
+ * prefetch modeling, and hierarchies of configurable depth, plus a
+ * frozen digest of a seeded stream's ready cycles, counters and tags.
  */
 #include <gtest/gtest.h>
 
+#include "common/digest.hpp"
+#include "common/rng.hpp"
+#include "harness/experiment.hpp"
 #include "mem/hierarchy.hpp"
 #include "mem/sparse_memory.hpp"
 
@@ -643,4 +647,127 @@ TEST(Hierarchy, ModelWritebacksDrainsDirtyVictimsToMemory)
     t = small.dataAccess(0xc0, t, false);
     EXPECT_GT(small.dcache().writebacks() + small.l2().writebacks(),
               0u);
+}
+
+// ---- frozen timing golden ---------------------------------------------
+
+namespace
+{
+
+/** Digests of one seeded replay through a hierarchy. */
+struct TimingDigests {
+    std::uint64_t ready = 0;     //!< every returned ready cycle, in order
+    std::uint64_t counters = 0;  //!< per-level + memory counters
+    std::uint64_t state = 0;     //!< exportState() of every level
+};
+
+/**
+ * Feed a seeded fetch/load/store stream through @p mem: first 12k
+ * accesses at cycle 0 (functional warming: nothing ever retires, so
+ * the MSHRs saturate and the prefetch-fill queue stays at its
+ * 2 x numMshrs bound), then 24k timed accesses with `now` advancing
+ * or repeating, and a same-cycle burst of strided misses every 500
+ * accesses (MSHR saturation and a full prefetch queue under timing).
+ * The random footprints span every level, so dirty victims drain
+ * through the write-back path at each of them.
+ */
+TimingDigests
+replaySeededStream(MemHierarchy &mem)
+{
+    Rng rng(20261017);
+    Fnv64 ready;
+    Cycle now = 0;
+    Addr stride_ptr = 0x4000000;
+    Addr fetch_pc = 0x1000;
+    const auto one = [&](bool timed) {
+        Cycle r = 0;
+        const std::uint64_t pick = rng.below(10);
+        if (pick < 2) {
+            // Mostly-sequential code with occasional jumps.
+            fetch_pc = rng.below(8) == 0
+                           ? 0x1000 + rng.below(8 * 1024) * 4
+                           : fetch_pc + 4;
+            r = mem.fetchAccess(fetch_pc, now);
+        } else if (pick < 4) {
+            stride_ptr += 3 * 64;
+            r = mem.dataAccess(stride_ptr, now, rng.below(4) == 0);
+        } else {
+            const Addr footprint =
+                timed ? Addr{4} << 20 : Addr{512} << 10;
+            r = mem.dataAccess(0x8000000 + rng.below(footprint),
+                               now, rng.below(10) < 3);
+        }
+        ready.update(r);
+    };
+
+    for (int i = 0; i < 12000; ++i)
+        one(false);
+    for (int i = 0; i < 24000; ++i) {
+        if (i % 500 == 0) {
+            for (int b = 0; b < 48; ++b) {
+                stride_ptr += 2 * 64;
+                ready.update(mem.dataAccess(stride_ptr, now, false));
+            }
+        }
+        if (rng.below(10) >= 3)
+            now += 1 + rng.below(12);
+        one(true);
+    }
+
+    TimingDigests out;
+    out.ready = ready.value();
+    Fnv64 counters;
+    Fnv64 state;
+    for (const Cache *level : mem.levels()) {
+        counters.update(level->hits());
+        counters.update(level->misses());
+        counters.update(level->mshrMerges());
+        counters.update(level->writebacks());
+        counters.update(level->prefetchIssued());
+        counters.update(level->prefetchUseful());
+        const CacheState s = level->exportState();
+        state.update(s.lruClock);
+        for (const CacheState::Line &l : s.validLines) {
+            state.update(std::uint64_t{l.index});
+            state.update(l.tag);
+            state.update(l.lruStamp);
+            state.update(std::uint64_t{l.dirty});
+            state.update(std::uint64_t{l.prefetched});
+        }
+        for (const PrefetchState::Entry &e : s.prefetch.entries) {
+            state.update(std::uint64_t{e.index});
+            state.update(e.regionTag);
+            state.update(e.lastBlock);
+            state.update(static_cast<std::uint64_t>(e.stride));
+            state.update(std::uint64_t{e.confidence});
+        }
+    }
+    counters.update(mem.memory().reads());
+    counters.update(mem.memory().writebacks());
+    out.counters = counters.value();
+    out.state = state.value();
+    return out;
+}
+
+} // namespace
+
+TEST(CacheTimingGolden, SeededStreamMatchesFrozenDigests)
+{
+    // The MSHR and prefetch-fill tables are timing bookkeeping shared
+    // by warming and the detailed core; any change to their
+    // representation must keep every ready cycle, counter and tag
+    // array exactly. The digests were recorded before the tables
+    // became flat arrays.
+    CoreParams params = CoreParams::fourWide();
+    for (const char *token : {"l3", "pf-stride", "wb"})
+        ASSERT_TRUE(applyMemVariant(token, &params));
+    MemHierarchy mem(params.mem);
+    const TimingDigests got = replaySeededStream(mem);
+
+    EXPECT_GT(mem.dcache().prefetchIssued(), 0u);
+    EXPECT_GT(mem.dcache().writebacks(), 0u);
+    EXPECT_GT(mem.memory().writebacks(), 0u);
+    EXPECT_EQ(got.ready, 0x026fbb22de2a6dadULL);
+    EXPECT_EQ(got.counters, 0x2caa12931e8e090aULL);
+    EXPECT_EQ(got.state, 0xe6ec5547409c00bcULL);
 }

@@ -12,17 +12,25 @@
  * 2 and 4 cores, multi-core checkpoints only accelerate, validation
  * reports per-core errors, the single-core report format is
  * untouched, and malformed checkpoint files die with a named reason.
+ * Warming through the decoded engine's access sink is held against
+ * the per-step reference loops it replaced, and a stored checkpoint
+ * resealed with an impossible functional state is recaptured, not
+ * resumed.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "asm/assembler.hpp"
 #include "harness/experiment.hpp"
 #include "sample/checkpoint.hpp"
 #include "sample/interval.hpp"
@@ -30,6 +38,7 @@
 #include "sample/warmup.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/result_cache.hpp"
+#include "smc_program.hpp"
 
 using namespace reno;
 using namespace reno::sample;
@@ -889,6 +898,270 @@ TEST(MultiWarming, CheckpointOfAnotherCoreCountIsIgnored)
     }
 }
 
+// ---- warming oracle: sink-driven engine vs per-step loops ----------
+
+namespace
+{
+
+/** Feed one step()'s ExecRecord into a core's warm tables: the
+ *  per-record event mapping warming used before it ran on the
+ *  decoded engine's access sink. */
+void
+referenceFeed(MemHierarchy &mem, BranchPredictor &bp,
+              Addr &last_fetch_block, Addr iblock_bytes,
+              const ExecRecord &rec)
+{
+    const Addr block = rec.pc / iblock_bytes;
+    if (block != last_fetch_block) {
+        mem.fetchAccess(rec.pc, 0);
+        last_fetch_block = block;
+    }
+    const InstClass cls = rec.inst.info().cls;
+    if (cls == InstClass::Load) {
+        mem.dataAccess(rec.effAddr, 0, false);
+    } else if (cls == InstClass::Store) {
+        mem.dataAccess(rec.effAddr, 0, true);
+    } else if (isControl(rec.inst.op)) {
+        bp.predict(rec.pc, rec.inst);
+        bp.update(rec.pc, rec.inst, rec.taken, rec.npc);
+    }
+}
+
+/** Reference single-core warming: one step() per instruction. */
+void
+referenceWarmStep(Emulator &emu, WarmState &warm,
+                  std::uint64_t inst_bound)
+{
+    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
+    while (!emu.done() && emu.instCount() < inst_bound)
+        referenceFeed(warm.mem, warm.bp, warm.lastFetchBlock,
+                      iblock_bytes, emu.step());
+}
+
+/** Reference interleaved warming: one step() of the live emulator
+ *  with the fewest executed instructions (ties to the lowest core)
+ *  at a time. */
+void
+referenceWarmStepMulti(const std::vector<Emulator *> &emus,
+                       SysWarmState &warm,
+                       std::uint64_t aggregate_bound)
+{
+    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
+    std::uint64_t total = 0;
+    for (const Emulator *emu : emus)
+        total += emu->instCount();
+    while (total < aggregate_bound) {
+        int next = -1;
+        for (unsigned i = 0; i < emus.size(); ++i) {
+            if (!emus[i]->done() &&
+                (next < 0 ||
+                 emus[i]->instCount() < emus[next]->instCount()))
+                next = static_cast<int>(i);
+        }
+        if (next < 0)
+            break;
+        const unsigned c = static_cast<unsigned>(next);
+        referenceFeed(warm.coreMem(c), warm.coreBp(c),
+                      warm.lastFetchBlock(c), iblock_bytes,
+                      emus[c]->step());
+        ++total;
+    }
+}
+
+/** Positions 7919 + k * 102947 below @p cap, then @p cap itself: the
+ *  prime offsets land mid-superblock, and a cap past a short
+ *  program's end compares the exited state too. */
+std::vector<std::uint64_t>
+chopPoints(std::uint64_t cap)
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t p = 7919; p < cap; p += 102947)
+        out.push_back(p);
+    out.push_back(cap);
+    return out;
+}
+
+std::string
+encodeWarm(const Emulator &emu, const WarmState &warm)
+{
+    SampleCheckpoint ckpt;
+    ckpt.emu = std::make_shared<const EmuCheckpoint>(emu.checkpoint());
+    ckpt.warm = std::make_shared<const WarmState>(warm);
+    return CheckpointStore::encode(ckpt);
+}
+
+/** Every emulator retired each instruction through exactly one of
+ *  the two engines. */
+void
+expectInstsAccounted(const std::vector<Emulator *> &emus,
+                     const std::string &label)
+{
+    for (const Emulator *emu : emus)
+        EXPECT_EQ(emu->decodedInsts() + emu->interpInsts(),
+                  emu->instCount())
+            << label;
+}
+
+/** Warm @p fast with warmStep and @p ref with the reference loop to
+ *  each of @p points, comparing the encoded state at every one.
+ *  Returns the number of comparisons. */
+unsigned
+compareSingle(Emulator &fast, Emulator &ref, const CoreParams &params,
+              const std::vector<std::uint64_t> &points,
+              const std::string &label)
+{
+    WarmState fast_warm(params.mem, params.bpred);
+    WarmState ref_warm(params.mem, params.bpred);
+    unsigned compared = 0;
+    for (const std::uint64_t pos : points) {
+        warmStep(fast, fast_warm, pos);
+        referenceWarmStep(ref, ref_warm, pos);
+        ++compared;
+        if (encodeWarm(fast, fast_warm) != encodeWarm(ref, ref_warm)) {
+            ADD_FAILURE() << label << ": diverged at " << pos;
+            break;
+        }
+    }
+    expectInstsAccounted({&fast}, label);
+    return compared;
+}
+
+/** compareSingle() for the interleaved N-core warming. */
+unsigned
+compareMulti(const std::vector<Emulator *> &fast,
+             const std::vector<Emulator *> &ref,
+             const CoreParams &params,
+             const std::vector<std::uint64_t> &points,
+             const std::string &label)
+{
+    const auto cores = static_cast<unsigned>(fast.size());
+    SysWarmState fast_warm(params.mem, params.bpred, cores);
+    SysWarmState ref_warm(params.mem, params.bpred, cores);
+    const auto encode = [](const std::vector<Emulator *> &emus,
+                           const SysWarmState &warm) {
+        SampleCheckpoint ckpt;
+        ckpt.emu = std::make_shared<const EmuCheckpoint>(
+            emus[0]->checkpoint());
+        for (std::size_t i = 1; i < emus.size(); ++i)
+            ckpt.extraEmus.push_back(
+                std::make_shared<const EmuCheckpoint>(
+                    emus[i]->checkpoint()));
+        ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
+        return CheckpointStore::encode(ckpt);
+    };
+    unsigned compared = 0;
+    for (const std::uint64_t pos : points) {
+        warmStepMulti(fast, fast_warm, pos);
+        referenceWarmStepMulti(ref, ref_warm, pos);
+        ++compared;
+        if (encode(fast, fast_warm) != encode(ref, ref_warm)) {
+            ADD_FAILURE() << label << ": diverged at " << pos;
+            break;
+        }
+    }
+    expectInstsAccounted(fast, label);
+    return compared;
+}
+
+/** The warm-geometry spread of the oracle: default tables, a deep
+ *  write-back stack with stride prefetchers, next-line prefetch, and
+ *  a TAGE + indirect-target predictor. */
+std::vector<CoreParams>
+oracleConfigs()
+{
+    std::vector<CoreParams> out;
+    for (const char *name : {"RENO", "RENO/l3/pf-stride/wb",
+                             "BASE/pf-next", "RENO/tage/itt"}) {
+        NamedConfig cfg;
+        if (!configByName(name, CoreParams::fourWide(), &cfg))
+            ADD_FAILURE() << "unknown config " << name;
+        out.push_back(cfg.params);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(WarmingOracle, SinkEngineMatchesPerStepLoopOnEverySuite)
+{
+    // warmStep runs the decoded engine with an access sink; the
+    // reference steps the interpreter oracle one ExecRecord at a
+    // time. Emulator and warm tables must encode identically at
+    // every chop point, for every generated workload and every warm
+    // geometry. Streams are capped to keep the test quick.
+    unsigned compared = 0;
+    for (const CoreParams &params : oracleConfigs()) {
+        for (const char *suite : {"synth", "mem", "branch", "multi"}) {
+            for (const Workload *w : suiteWorkloads(suite)) {
+                const SpmdEmulators fast(*w, 1);
+                const SpmdEmulators ref(*w, 1);
+                compared += compareSingle(
+                    *fast.cores()[0], *ref.cores()[0], params,
+                    chopPoints(230'000), w->name);
+            }
+        }
+    }
+    EXPECT_GE(compared, 4u * 22u * 3u);
+}
+
+TEST(WarmingOracle, InterleavedEngineMatchesPerStepLoop)
+{
+    // The same oracle for warmStepMulti at 2 and 4 cores: the chop
+    // points are aggregate positions, so most fall mid-round-robin.
+    unsigned compared = 0;
+    for (const CoreParams &params : oracleConfigs()) {
+        for (const Workload *w : suiteWorkloads("multi")) {
+            for (const unsigned cores : {2u, 4u}) {
+                const SpmdEmulators fast(*w, cores);
+                const SpmdEmulators ref(*w, cores);
+                compared += compareMulti(
+                    fast.cores(), ref.cores(), params,
+                    chopPoints(120'000),
+                    w->name + "/" + std::to_string(cores) + "c");
+            }
+        }
+    }
+    EXPECT_GE(compared, 4u * 5u * 2u * 2u);
+}
+
+TEST(WarmingOracle, SelfModifyingCodeMatchesPerStepLoop)
+{
+    // The patch-loop program rewrites its own text mid-run: the sink
+    // must report the store that invalidates the running block, and
+    // the re-decoded block's stream after it. Chop every 37
+    // instructions, with the decoded engine (superblocks promoted
+    // early) and with the interpreter, on one core and interleaved.
+    const Program prog = assemble(smcSource());
+    const CoreParams params = baseParams();
+    std::vector<std::uint64_t> points;
+    for (std::uint64_t p = 1; p < 700; p += 37)
+        points.push_back(p);
+    points.push_back(2000);  // past the exit
+
+    for (const bool decoded : {true, false}) {
+        Emulator::Options opts;
+        opts.decodedExec = decoded;
+        opts.hotThreshold = 4;
+        const std::string label = decoded ? "decoded" : "interp";
+
+        Emulator fast(prog, opts);
+        Emulator ref(prog, opts);
+        compareSingle(fast, ref, params, points, label);
+        EXPECT_EQ(fast.output(), "150") << label;
+
+        std::vector<std::unique_ptr<Emulator>> owned;
+        std::vector<Emulator *> fast2, ref2;
+        for (unsigned c = 0; c < 2; ++c) {
+            opts.coreId = c;
+            owned.push_back(std::make_unique<Emulator>(prog, opts));
+            fast2.push_back(owned.back().get());
+            owned.push_back(std::make_unique<Emulator>(prog, opts));
+            ref2.push_back(owned.back().get());
+        }
+        compareMulti(fast2, ref2, params, points, label + "/2c");
+    }
+}
+
 TEST(MultiSampling, ValidationReportsPerCoreErrors)
 {
     // A 2-core validation row carries one signed error per occupied
@@ -1026,4 +1299,86 @@ TEST(CheckpointRejection, CorruptPerCoreBlocksDieNamingTheCore)
                                               params.bpred, 2),
                  "checkpoint decode failed: corrupt functional block "
                  "\\(core 1\\)");
+}
+
+TEST(CheckpointRejection, ResealedBadFunctionalBlocksAreRecaptured)
+{
+    // A checkpoint file rewritten with an impossible functional state
+    // and resealed (so the integrity digest still holds) must be
+    // ignored and recaptured, never resumed: the campaign result
+    // equals the run without any stored checkpoint. A pc outside text
+    // used to kill the window with a fatal.
+    const std::string dir =
+        ::testing::TempDir() + "reno_ckpt_reseal_test";
+    std::filesystem::remove_all(dir);
+    const auto workloads = oneWorkload("g721.dec");
+    NamedConfig two{"BASE/2c", baseParams()};
+    two.params.sys.numCores = 2;
+    const std::vector<NamedConfig> configs = {{"BASE", baseParams()},
+                                              two};
+    SampleOptions plain_opts;
+    plain_opts.campaign.jobs = 1;
+    const std::string want = renderSampled(
+        runSampledCampaign(workloads, configs, plain_opts),
+        sweep::ReportFormat::Json);
+
+    SampleOptions disk_opts = plain_opts;
+    disk_opts.campaign.cacheDir = dir;
+    runSampledCampaign(workloads, configs, disk_opts);
+    std::map<std::string, std::string> originals;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir + "/ckpt")) {
+        if (entry.path().extension() != ".ckpt")
+            continue;
+        std::ifstream in(entry.path());
+        std::stringstream buf;
+        buf << in.rdbuf();
+        originals[entry.path().string()] = buf.str();
+    }
+    ASSERT_GT(originals.size(), 2u);
+
+    // Rewrite the "<key> <n>" line of the last functional block (the
+    // highest core's) and reseal.
+    const auto rewrite = [](std::string text, const std::string &key,
+                            const auto &change) {
+        const std::size_t at =
+            text.rfind("\n" + key + " ", text.find("\nwarmcfg "));
+        const std::size_t from = at + key.size() + 2;
+        const std::size_t to = text.find('\n', from);
+        const std::uint64_t v = std::stoull(text.substr(from, to - from));
+        text.replace(from, to - from, std::to_string(change(v)));
+        return redigest(text);
+    };
+    const struct {
+        const char *label;
+        const char *key;
+        std::uint64_t (*change)(std::uint64_t);
+    } mutations[] = {
+        {"pc 4", "pc", [](std::uint64_t) -> std::uint64_t { return 4; }},
+        {"misaligned pc", "pc",
+         [](std::uint64_t pc) -> std::uint64_t { return pc + 2; }},
+        {"other program", "prog",
+         [](std::uint64_t d) -> std::uint64_t { return d + 1; }},
+        {"past the window", "inst",
+         [](std::uint64_t n) -> std::uint64_t { return n + 1'000'000; }},
+    };
+    for (const auto &m : mutations) {
+        for (const auto &[path, text] : originals) {
+            std::ofstream out(path, std::ios::trunc);
+            out << rewrite(text, m.key, m.change);
+        }
+        sweep::ResultCache fresh;  // force every window to resume
+        SampleOptions opts = disk_opts;
+        opts.campaign.cache = &fresh;
+        ::testing::internal::CaptureStderr();
+        const std::string got = renderSampled(
+            runSampledCampaign(workloads, configs, opts),
+            sweep::ReportFormat::Json);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(got, want) << m.label;
+        EXPECT_NE(err.find("ignoring malformed entry"),
+                  std::string::npos)
+            << m.label;
+    }
+    std::filesystem::remove_all(dir);
 }
