@@ -1,0 +1,38 @@
+/**
+ * @file
+ * Strict decimal parsing for command-line and environment values.
+ * strtol-style parsing stops at the first non-digit and silently
+ * accepts "2x" as 2; these helpers accept a value only when the whole
+ * string is an unsigned decimal integer inside the requested range.
+ */
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+
+namespace reno
+{
+
+/**
+ * Parse all of @p text as a decimal integer in [@p lo, @p hi].
+ * Returns nullopt for an empty string, a sign, whitespace, trailing
+ * characters, overflow or an out-of-range value.
+ */
+std::optional<std::uint64_t>
+parseUnsigned(const std::string &text, std::uint64_t lo = 0,
+              std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * parseUnsigned() for the value of command-line flag @p flag:
+ * fatal() naming the flag, the accepted range and the offending
+ * value when @p text is not a valid integer in [@p lo, @p hi].
+ */
+std::uint64_t
+parseUnsignedFlag(const char *flag, const std::string &text,
+                  std::uint64_t lo = 0,
+                  std::uint64_t hi =
+                      std::numeric_limits<std::uint64_t>::max());
+
+} // namespace reno

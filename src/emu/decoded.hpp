@@ -102,8 +102,9 @@ struct DecodedBlock {
     DecodedBlock *linkFall = nullptr;
 };
 
-/** Cumulative block-cache statistics (surfaced through the obs
- *  MetricsRegistry and reno-sample --perf-json). */
+/** Cumulative block-cache statistics (surfaced as the
+ *  `emu.block_cache.*` counters of the obs MetricsRegistry, which
+ *  --metrics-json writes). */
 struct BlockCacheStats {
     std::uint64_t lookups = 0;          //!< block fetches by entry pc
     std::uint64_t hits = 0;             //!< served without decoding

@@ -9,9 +9,9 @@
  *   - emits a begin/end span to the event tracer (obs/trace.hpp), so
  *     traces show where inside each job the time went, and
  *   - accumulates elapsed microseconds + executed instructions into
- *     the process-wide PhaseStats totals, which back the
- *     `reno-sample --perf-json` phase breakdown and the per-phase
- *     instructions/sec gauges of --metrics-json.
+ *     the process-wide PhaseStats totals, which back the per-phase
+ *     `phase.<name>.seconds` / `phase.<name>.minstr_per_s` gauges of
+ *     --metrics-json.
  *
  * Phases are leaves by convention: no PhaseSpan nests inside another,
  * so the per-phase totals are disjoint and sum to (roughly) the

@@ -1,8 +1,7 @@
 #include "obs/session.hpp"
 
-#include <cstdlib>
-
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "obs/cpistack.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -34,14 +33,8 @@ parseObsArgs(int argc, char **argv)
                 fatal("--trace-out expects a file path");
         } else if (arg == "--trace-sample" ||
                    arg.rfind("--trace-sample=", 0) == 0) {
-            const std::string v = value("--trace-sample");
-            const long long n = std::strtoll(v.c_str(), nullptr, 10);
-            if (n >= 1)
-                opts.traceSampleCycles = std::uint64_t(n);
-            else
-                fatal("--trace-sample expects a positive cycle "
-                      "count, got '%s'",
-                      v.c_str());
+            opts.traceSampleCycles =
+                parseUnsignedFlag("--trace-sample", value("--trace-sample"), 1);
         } else if (arg == "--metrics-json" ||
                    arg.rfind("--metrics-json=", 0) == 0) {
             opts.metricsJson = value("--metrics-json");
@@ -60,15 +53,10 @@ parseObsArgs(int argc, char **argv)
         } else if (arg == "--profile-hot") {
             opts.profileHot = 20;
         } else if (arg.rfind("--profile-hot=", 0) == 0) {
-            const std::string v =
-                arg.substr(std::string("--profile-hot=").size());
-            const long long n = std::strtoll(v.c_str(), nullptr, 10);
-            if (n >= 1)
-                opts.profileHot = static_cast<unsigned>(n);
-            else
-                fatal("--profile-hot= expects a positive top-N, "
-                      "got '%s'",
-                      v.c_str());
+            opts.profileHot = static_cast<unsigned>(parseUnsignedFlag(
+                "--profile-hot=",
+                arg.substr(std::string("--profile-hot=").size()), 1,
+                std::numeric_limits<unsigned>::max()));
         } else if (arg == "--pipetrace") {
             opts.pipetrace = true;
         } else if (arg.rfind("--pipetrace=", 0) == 0) {

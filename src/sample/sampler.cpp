@@ -391,26 +391,6 @@ validateSampling(const std::vector<const Workload *> &workloads,
     return report;
 }
 
-namespace
-{
-
-std::string
-render(const std::vector<ReportRecord> &records,
-       sweep::ReportFormat format)
-{
-    switch (format) {
-      case sweep::ReportFormat::Json:
-        return renderJson(records);
-      case sweep::ReportFormat::Csv:
-        return renderCsv(records);
-      case sweep::ReportFormat::Table:
-      default:
-        return renderTable(records);
-    }
-}
-
-} // namespace
-
 std::string
 renderSampled(const SampledCampaign &campaign,
               sweep::ReportFormat format)
@@ -453,7 +433,7 @@ renderSampled(const SampledCampaign &campaign,
                  run.est.sum.elimFraction() * 100, 2);
         records.push_back(std::move(rec));
     }
-    return render(records, format);
+    return sweep::renderRecords(records, format);
 }
 
 std::string
@@ -490,7 +470,7 @@ renderValidation(const ValidationReport &report,
         addField(rec, "ipc_ci95", row.ipcCi95, 4);
         records.push_back(std::move(rec));
     }
-    return render(records, format);
+    return sweep::renderRecords(records, format);
 }
 
 } // namespace reno::sample

@@ -9,6 +9,7 @@
 #include "common/clock.hpp"
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -17,15 +18,22 @@
 namespace reno::sweep
 {
 
+namespace
+{
+
+/** Upper bound of --jobs / RENO_JOBS: anything an unsigned holds. */
+constexpr std::uint64_t MaxJobs = std::numeric_limits<unsigned>::max();
+
+} // namespace
+
 unsigned
 resolveJobCount(unsigned requested)
 {
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("RENO_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return unsigned(n);
+        if (const auto n = parseUnsigned(env, 1, MaxJobs))
+            return unsigned(*n);
         warn("ignoring invalid RENO_JOBS='%s'", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -47,13 +55,8 @@ parseCampaignArgs(int argc, char **argv)
             return "";
         };
         if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            const std::string v = value("--jobs");
-            const long n = std::strtol(v.c_str(), nullptr, 10);
-            if (n >= 1)
-                opts.jobs = unsigned(n);
-            else
-                fatal("--jobs expects a positive integer, got '%s'",
-                      v.c_str());
+            opts.jobs = unsigned(
+                parseUnsignedFlag("--jobs", value("--jobs"), 1, MaxJobs));
         } else if (arg == "--cache-dir" ||
                    arg.rfind("--cache-dir=", 0) == 0) {
             opts.cacheDir = value("--cache-dir");

@@ -92,6 +92,13 @@ renderResults(const CampaignResults &results, ReportFormat format,
                                               results.at(i))
                               : recordFor(results.job(i),
                                           results.at(i)));
+    return renderRecords(records, format);
+}
+
+std::string
+renderRecords(const std::vector<ReportRecord> &records,
+              ReportFormat format)
+{
     switch (format) {
       case ReportFormat::Json:
         return renderJson(records);

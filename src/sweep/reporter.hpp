@@ -4,12 +4,13 @@
  * results into an aligned text table, a JSON array, or CSV, via the
  * generic emitters in common/report.hpp. The per-figure benchmark
  * binaries keep their bespoke tables; these reporters serve the
- * reno-sweep driver and any ad-hoc campaign.
+ * reno-sweep and reno-sample tools and any ad-hoc campaign.
  */
 #pragma once
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/report.hpp"
 #include "sweep/campaign.hpp"
@@ -32,6 +33,11 @@ ReportRecord recordFor(const Job &job, const JobResult &result);
  * reno-sweep --all-stats.
  */
 ReportRecord recordForFull(const Job &job, const JobResult &result);
+
+/** Render @p records in @p format (trailing newline included): the
+ *  one format switch behind every campaign and sampling report. */
+std::string renderRecords(const std::vector<ReportRecord> &records,
+                          ReportFormat format);
 
 /** Render a whole campaign in @p format (trailing newline included).
  *  @p all_stats selects the full named-stat records. */

@@ -290,6 +290,19 @@ knownSuites()
     return out;
 }
 
+std::string
+renderWorkloadList()
+{
+    std::string out;
+    for (const std::vector<Workload> *registry : allRegistries()) {
+        for (const Workload &w : *registry)
+            out += strprintf("  %-15s (%s, seed %llu)\n", w.name.c_str(),
+                             w.suite.c_str(),
+                             static_cast<unsigned long long>(w.seed));
+    }
+    return out;
+}
+
 const Workload &
 workloadByName(const std::string &name)
 {

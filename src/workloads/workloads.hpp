@@ -112,6 +112,13 @@ struct SuiteInfo {
 };
 std::vector<SuiteInfo> knownSuites();
 
+/**
+ * Every registered workload (paper registry + generated suites), one
+ * "  NAME (suite, seed N)" line each, paper registry first: the
+ * workload half of the tools' --list.
+ */
+std::string renderWorkloadList();
+
 /** Lookup by name; fatal() if unknown. */
 const Workload &workloadByName(const std::string &name);
 

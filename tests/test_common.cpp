@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the common utilities: formatting, tables, RNG, bit
- * helpers and the statistics registry.
+ * helpers, the statistics registry and strict integer parsing.
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -157,4 +159,36 @@ TEST(Format, Percent)
     EXPECT_EQ(fmtPercent(0.123), "12.3");
     EXPECT_EQ(fmtPercent(1.0, 0), "100");
     EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");
+}
+
+TEST(ParseUnsigned, AcceptsOnlyWholeDecimalsInRange)
+{
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("42"), 42u);
+    EXPECT_EQ(parseUnsigned("007"), 7u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseUnsigned("8", 1, 8), 8u);
+    for (const char *bad : {"", "2x", "x2", "-1", "+1", " 1", "1 ", "1.0",
+                            "0x10", "18446744073709551616"})
+        EXPECT_FALSE(parseUnsigned(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parseUnsigned("0", 1).has_value());
+    EXPECT_FALSE(parseUnsigned("9", 1, 8).has_value());
+}
+
+TEST(ParseUnsigned, FlagValuesFailWithTheFlagAndTheRange)
+{
+    EXPECT_EQ(parseUnsignedFlag("--n", "12", 1), 12u);
+    EXPECT_EXIT(parseUnsignedFlag("--n", "12x", 1),
+                ::testing::ExitedWithCode(1),
+                "--n expects an integer >= 1, got '12x'");
+    EXPECT_EXIT(parseUnsignedFlag("--n", "-3"),
+                ::testing::ExitedWithCode(1),
+                "--n expects an integer >= 0, got '-3'");
+    EXPECT_EXIT(parseUnsignedFlag("--n", "99999999999", 0, 99),
+                ::testing::ExitedWithCode(1),
+                "got '99999999999' \\(out of range\\)");
+    EXPECT_EXIT(parseUnsignedFlag("--n", "9", 1, 8),
+                ::testing::ExitedWithCode(1),
+                "--n expects an integer in 1\\.\\.8, got '9'");
 }

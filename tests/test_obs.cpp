@@ -5,8 +5,9 @@
  * timestamps; tracing (with counter sampling) never perturbs
  * simulated results; the metrics registry computes percentiles and
  * renders its JSON shape; the progress meter streams NDJSON
- * heartbeats; the log sink honors thresholds and redirection; and
- * phase accounting accumulates leaf spans.
+ * heartbeats; the log sink honors thresholds and redirection; the
+ * obs flags parse strictly; and phase accounting accumulates leaf
+ * spans.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "sample/interval.hpp"
 #include "sweep/campaign.hpp"
@@ -467,6 +469,38 @@ TEST(Progress, FirstHeartbeatEmitsNullRateNotInfOrNan)
     const std::string text2 = slurp(sink2);
     std::fclose(sink2);
     EXPECT_NE(text2.find("\"eta_s\": null"), std::string::npos);
+}
+
+TEST(Session, ParseObsArgsIsStrict)
+{
+    auto parse = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "prog");
+        return parseObsArgs(int(args.size()),
+                            const_cast<char **>(args.data()));
+    };
+    const ObsOptions opts =
+        parse({"--trace-out", "t.json", "--trace-sample", "5000",
+               "--profile-hot=3", "--jobs", "2"});
+    EXPECT_EQ(opts.traceOut, "t.json");
+    EXPECT_EQ(opts.traceSampleCycles, 5000u);
+    EXPECT_EQ(opts.profileHot, 3u);
+    EXPECT_EQ(parse({"--profile-hot"}).profileHot, 20u);
+
+    for (const char *bad : {"100x", "0", "-5", ""}) {
+        EXPECT_EXIT(parse({"--trace-out", "t.json", "--trace-sample",
+                           bad}),
+                    ::testing::ExitedWithCode(1),
+                    "--trace-sample expects")
+            << "--trace-sample " << bad;
+    }
+    for (const char *bad : {"--profile-hot=3x", "--profile-hot=0",
+                            "--profile-hot="}) {
+        EXPECT_EXIT(parse({bad}), ::testing::ExitedWithCode(1),
+                    "--profile-hot= expects")
+            << bad;
+    }
+    EXPECT_EXIT(parse({"--trace-sample", "10"}),
+                ::testing::ExitedWithCode(1), "requires --trace-out");
 }
 
 TEST(Log, ThresholdFiltersAndSinkRedirects)

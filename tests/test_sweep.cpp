@@ -2,11 +2,14 @@
  * @file
  * Tests for the simulation-campaign engine: parallel results are
  * identical to serial, content digests track every CoreParams field,
- * the result cache (memory and disk) short-circuits simulation, and
- * the JSON/CSV reporters produce their golden output.
+ * the result cache (memory and disk) short-circuits simulation, the
+ * JSON/CSV reporters produce their golden output, and the tools'
+ * flag parsers (engine flags and the workload/config selection)
+ * resolve and reject what they should.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +23,7 @@
 #include "sweep/campaign.hpp"
 #include "sweep/reporter.hpp"
 #include "sweep/result_cache.hpp"
+#include "sweep/selection.hpp"
 #include "sweep/thread_pool.hpp"
 
 using namespace reno;
@@ -63,6 +67,45 @@ digestOfParams(const CoreParams &p)
     job.workload = &workloadByName("gzip");
     job.config = {"x", p};
     return jobDigest(job);
+}
+
+/** Run @p parse over {"prog", args...}. */
+template <typename Parse>
+auto
+parseArgv(Parse parse, std::vector<const char *> args)
+{
+    args.insert(args.begin(), "prog");
+    return parse(int(args.size()), const_cast<char **>(args.data()));
+}
+
+CampaignOptions
+parseCampaign(std::vector<const char *> args)
+{
+    return parseArgv(parseCampaignArgs, std::move(args));
+}
+
+Selection
+selectArgs(std::vector<const char *> args)
+{
+    return parseArgv(parseSelectionArgs, std::move(args));
+}
+
+std::string
+workloadNames(const Selection &sel)
+{
+    std::string out;
+    for (const Workload *w : sel.workloads)
+        out += (out.empty() ? "" : ",") + w->name;
+    return out;
+}
+
+std::string
+configNames(const Selection &sel)
+{
+    std::string out;
+    for (const NamedConfig &cfg : sel.configs)
+        out += (out.empty() ? "" : ",") + cfg.name;
+    return out;
 }
 
 } // namespace
@@ -349,6 +392,17 @@ TEST(Sweep, ResolveJobCountPrecedence)
     EXPECT_GE(resolveJobCount(0), 1u);
 }
 
+TEST(Sweep, ResolveJobCountIgnoresMalformedEnv)
+{
+    unsetenv("RENO_JOBS");
+    const unsigned fallback = resolveJobCount(0);
+    for (const char *bad : {"3abc", "0", "-2", "", " 4", "99999999999"}) {
+        setenv("RENO_JOBS", bad, 1);
+        EXPECT_EQ(resolveJobCount(0), fallback) << "RENO_JOBS=" << bad;
+    }
+    unsetenv("RENO_JOBS");
+}
+
 TEST(Sweep, ParseCampaignArgs)
 {
     const char *argv[] = {"prog", "--jobs", "8", "--cache-dir=/tmp/x",
@@ -358,6 +412,143 @@ TEST(Sweep, ParseCampaignArgs)
     EXPECT_EQ(opts.jobs, 8u);
     EXPECT_EQ(opts.cacheDir, "/tmp/x");
     EXPECT_TRUE(opts.stats);
+
+    EXPECT_EQ(parseCampaign({"--jobs=3"}).jobs, 3u);
+    for (const char *bad : {"2x", "0", "-1", "", "+2", "4294967296"}) {
+        EXPECT_EXIT(parseCampaign({"--jobs", bad}),
+                    ::testing::ExitedWithCode(1), "--jobs expects")
+            << "--jobs " << bad;
+    }
+    EXPECT_EXIT(parseCampaign({"--jobs"}), ::testing::ExitedWithCode(1),
+                "--jobs expects");
+    EXPECT_EXIT(parseCampaign({"--cache-dir="}),
+                ::testing::ExitedWithCode(1), "--cache-dir expects");
+}
+
+TEST(Selection, DefaultIsThePaperSuitesUnderBaseAndReno)
+{
+    const Selection sel = selectArgs({"--jobs", "2", "--unrelated"});
+    ASSERT_EQ(sel.workloads.size(), allWorkloads().size());
+    for (std::size_t i = 0; i < sel.workloads.size(); ++i)
+        EXPECT_EQ(sel.workloads[i], &allWorkloads()[i]);
+    EXPECT_EQ(configNames(sel), "BASE,RENO");
+    EXPECT_EQ(sel.configs[0].params.sys.numCores, 1u);
+    EXPECT_EQ(sel.format, ReportFormat::Table);
+    EXPECT_EQ(selectArgs({"--report=csv"}).format, ReportFormat::Csv);
+    EXPECT_EQ(selectArgs({"--report", "json"}).format, ReportFormat::Json);
+}
+
+TEST(Selection, SuiteWorkloadAndGlobResolution)
+{
+    EXPECT_EQ(workloadNames(selectArgs({"--suite", "synth"})),
+              "synth.plain,synth.phase,synth.chase,synth.mix");
+    // --workload picks by name from any registry, in argv order, and
+    // overrides --suite.
+    EXPECT_EQ(workloadNames(selectArgs({"--suite=media", "--workload",
+                                    "multi.false", "--workload=gzip"})),
+              "multi.false,gzip");
+    EXPECT_EQ(workloadNames(selectArgs({"--workloads", "mem.stream.*"})),
+              "mem.stream.32k,mem.stream.256k,mem.stream.1m");
+    // A suite narrows a glob.
+    EXPECT_EQ(workloadNames(selectArgs({"--workloads=*.dec", "--suite",
+                                    "media"})),
+              "adpcm.dec,g721.dec,gsm.dec,jpeg.dec,mpeg2.dec,pegw.dec");
+    EXPECT_EXIT(selectArgs({"--workloads", "mem.*", "--workload", "gzip"}),
+                ::testing::ExitedWithCode(1), "exclusive");
+    EXPECT_EXIT(selectArgs({"--workload", "nope"}),
+                ::testing::ExitedWithCode(1), "unknown workload");
+    EXPECT_EXIT(selectArgs({"--suite", "nope"}),
+                ::testing::ExitedWithCode(1), "known suites");
+    EXPECT_EXIT(selectArgs({"--suite"}), ::testing::ExitedWithCode(1),
+                "--suite expects a value");
+}
+
+TEST(Selection, FilterKeepsMatchingNames)
+{
+    EXPECT_EQ(workloadNames(selectArgs({"--suite", "media", "--filter",
+                                    "mpeg"})),
+              "mpeg2.dec,mpeg2.enc");
+    EXPECT_EQ(workloadNames(selectArgs({"--suite=branch",
+                                    "--filter=branch.c"})),
+              "branch.corr,branch.call");
+    EXPECT_EXIT(selectArgs({"--filter", "no-such-name"}),
+                ::testing::ExitedWithCode(1), "no workloads selected");
+}
+
+TEST(Selection, WidthAndConfigs)
+{
+    const Selection sel =
+        selectArgs({"--width", "6", "--config", "ME", "--config=RENO/l3"});
+    EXPECT_EQ(configNames(sel), "ME,RENO/l3");
+    NamedConfig expected;
+    ASSERT_TRUE(configByName("RENO/l3", CoreParams::sixWide(), &expected));
+    EXPECT_EQ(serializeCoreParams(sel.configs[1].params),
+              serializeCoreParams(expected.params));
+    EXPECT_NE(serializeCoreParams(sel.configs[1].params),
+              serializeCoreParams(
+                  selectArgs({"--config", "RENO/l3"}).configs[0].params));
+    EXPECT_EXIT(selectArgs({"--width", "5"}), ::testing::ExitedWithCode(1),
+                "--width expects 4 or 6");
+    EXPECT_EXIT(selectArgs({"--config", "NOPE"}),
+                ::testing::ExitedWithCode(1), "unknown config 'NOPE'");
+}
+
+TEST(Selection, CoresAddsTheCoreSuffix)
+{
+    const Selection sel = selectArgs({"--cores", "2", "--config", "BASE",
+                                  "--config", "RENO/tage"});
+    EXPECT_EQ(configNames(sel), "BASE/2c,RENO/tage/2c");
+    for (const NamedConfig &cfg : sel.configs)
+        EXPECT_EQ(cfg.params.sys.numCores, 2u);
+    // --cores 1 leaves the configs as parsed, multi-core ones included.
+    const Selection one = selectArgs({"--cores=1", "--config", "RENO/4c"});
+    EXPECT_EQ(configNames(one), "RENO/4c");
+    EXPECT_EQ(one.configs[0].params.sys.numCores, 4u);
+
+    EXPECT_EXIT(selectArgs({"--cores", "2", "--config", "BASE",
+                        "--config", "RENO/4c"}),
+                ::testing::ExitedWithCode(1),
+                "--cores conflicts with config 'RENO/4c'");
+    for (const char *bad : {"0", "9", "2x", "-2", ""}) {
+        EXPECT_EXIT(selectArgs({"--cores", bad}),
+                    ::testing::ExitedWithCode(1), "--cores expects")
+            << "--cores " << bad;
+    }
+}
+
+TEST(Selection, ListNamesEveryWorkloadOfEverySuite)
+{
+    const std::string listing = renderWorkloadList();
+    std::size_t total = 0;
+    for (const SuiteInfo &suite : knownSuites()) {
+        for (const Workload *w : suiteWorkloads(suite.name)) {
+            const std::string line = "  " + w->name + " ";
+            const std::size_t at = listing.find(line);
+            ASSERT_NE(at, std::string::npos) << w->name;
+            EXPECT_NE(listing.substr(at, listing.find('\n', at) - at)
+                          .find("(" + suite.name + ", seed "),
+                      std::string::npos)
+                << w->name;
+            ++total;
+        }
+    }
+    EXPECT_EQ(std::count(listing.begin(), listing.end(), '\n'),
+              static_cast<std::ptrdiff_t>(total));
+    EXPECT_EXIT(selectArgs({"--list"}), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Selection, IsSelectionFlagMatchesTheParser)
+{
+    bool takes_value = false;
+    EXPECT_TRUE(isSelectionFlag("--suite", &takes_value));
+    EXPECT_TRUE(takes_value);
+    EXPECT_TRUE(isSelectionFlag("--workloads=mem.*", &takes_value));
+    EXPECT_FALSE(takes_value);
+    EXPECT_TRUE(isSelectionFlag("--list-suites", &takes_value));
+    EXPECT_FALSE(takes_value);
+    EXPECT_FALSE(isSelectionFlag("--list=x", &takes_value));
+    EXPECT_FALSE(isSelectionFlag("--jobs", &takes_value));
+    EXPECT_FALSE(isSelectionFlag("--suites", &takes_value));
 }
 
 TEST(Sweep, Fnv64KnownVectorsAndSeparation)

@@ -8,22 +8,19 @@
  * full detailed simulations too and reports the per-workload IPC
  * error (the CI accuracy gate).
  */
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/log.hpp"
-#include "emu/emulator.hpp"
-#include "harness/experiment.hpp"
-#include "obs/metrics.hpp"
-#include "obs/phase.hpp"
+#include "common/parse.hpp"
+#include "obs/cpireport.hpp"
 #include "obs/session.hpp"
 #include "sample/sampler.hpp"
 #include "sweep/campaign.hpp"
-#include "sweep/reporter.hpp"
-#include "workloads/workloads.hpp"
+#include "sweep/selection.hpp"
 
 using namespace reno;
 
@@ -33,31 +30,11 @@ namespace
 [[noreturn]] void
 usage(const char *argv0)
 {
+    std::printf("usage: %s [options]\n\n%s\n", argv0,
+                sweep::selectionUsage().c_str());
     std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "workload/config selection (as in reno-sweep):\n"
-        "  --suite spec|media|synth|mem|branch|multi|all\n"
-        "                           workloads to sample (default all =\n"
-        "                           the paper suites; synth/mem = long\n"
-        "                           generated programs)\n"
-        "  --workload NAME          one workload (repeatable)\n"
-        "  --workloads GLOB         workloads matching a glob, from\n"
-        "                           every suite (e.g. 'mem.chase.*')\n"
-        "  --filter SUBSTR          keep matching workload names\n"
-        "  --config NAME            preset (repeatable; default BASE,"
-        " RENO)\n"
-        "  --width 4|6              machine width (default 4)\n"
-        "  --cores N                sample every config on an N-core\n"
-        "                           System (1..%u; equivalent to a /Nc\n"
-        "                           suffix; interval boundaries are\n"
-        "                           aggregate retired instructions)\n"
-        "  --emu interp|decoded     functional-emulator engine\n"
-        "                           (default decoded superblocks;\n"
-        "                           interp = per-step; bit-exact\n"
-        "                           either way)\n"
-        "\n"
-        "sampling plan:\n"
+        "sampling plan (on N cores, interval boundaries are aggregate\n"
+        "retired instructions):\n"
         "  --sample N               measured intervals per program"
         " (default 10)\n"
         "  --warmup W               detailed warmup insts per interval"
@@ -82,10 +59,6 @@ usage(const char *argv0)
         "  --sweep-stats            execution summary on stderr\n"
         "\n"
         "output:\n"
-        "  --report table|json|csv  reporter (default table)\n"
-        "  --perf-json FILE         write wall-clock JSON with the\n"
-        "                           per-phase breakdown (fast-forward\n"
-        "                           vs warmup vs detailed)\n"
         "  --cpi-json FILE          write extrapolated whole-program\n"
         "                           CPI stacks (requires --cpi-stack;\n"
         "                           the same stratified estimator as\n"
@@ -97,43 +70,16 @@ usage(const char *argv0)
         "                           Perfetto JSON of the run\n"
         "  --trace-sample N         + sample pipeline counters every N\n"
         "                           simulated cycles\n"
-        "  --metrics-json FILE      write engine metrics JSON\n"
+        "  --metrics-json FILE      write engine metrics JSON, with\n"
+        "                           per-phase seconds and Minstr/s\n"
+        "                           (fast-forward, warming, detailed)\n"
+        "                           and the emulator block-cache\n"
+        "                           counters\n"
         "  --progress[=FILE]        stream NDJSON progress heartbeats\n"
         "                           (default sink: stderr)\n"
         "  --cpi-stack              per-cycle CPI-stack accounting on\n"
-        "                           every measured window\n"
-        "  --list                   list workloads/configs and exit\n"
-        "  --list-configs           list configuration presets and"
-        " exit\n"
-        "  --list-suites            list workload suites and exit\n",
-        argv0, SysParams::MaxCores);
+        "                           every measured window\n");
     std::exit(0);
-}
-
-void
-listEverything()
-{
-    std::printf("workloads:\n");
-    for (const Workload &w : allWorkloads())
-        std::printf("  %-11s (%s, seed %llu)\n", w.name.c_str(),
-                    w.suite.c_str(),
-                    static_cast<unsigned long long>(w.seed));
-    for (const Workload &w : synthWorkloads())
-        std::printf("  %-11s (%s, seed %llu)\n", w.name.c_str(),
-                    w.suite.c_str(),
-                    static_cast<unsigned long long>(w.seed));
-    std::fputs(renderConfigList().c_str(), stdout);
-}
-
-std::uint64_t
-parseCount(const char *flag, const std::string &v)
-{
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || n == 0)
-        fatal("%s expects a positive integer, got '%s'", flag,
-              v.c_str());
-    return n;
 }
 
 } // namespace
@@ -141,18 +87,9 @@ parseCount(const char *flag, const std::string &v)
 int
 main(int argc, char **argv)
 {
-    std::string suite = "all";
-    std::string filter;
-    std::string workloads_glob;
-    std::vector<std::string> workload_names;
-    std::vector<std::string> config_names;
-    unsigned width = 4;
-    unsigned cores = 1;
     bool validate = false;
     double max_error = 0.0;
     sample::SamplePlan plan;
-    sweep::ReportFormat format = sweep::ReportFormat::Table;
-    std::string perf_json;
     std::string cpi_json;
 
     for (int i = 1; i < argc; ++i) {
@@ -171,100 +108,38 @@ main(int argc, char **argv)
         };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
-        } else if (arg == "--list") {
-            listEverything();
-            return 0;
-        } else if (arg == "--list-configs") {
-            std::fputs(renderConfigList().c_str(), stdout);
-            return 0;
-        } else if (arg == "--list-suites") {
-            std::fputs(renderSuiteList().c_str(), stdout);
-            return 0;
-        } else if (matches("--suite")) {
-            suite = value("--suite");
-        } else if (matches("--workload")) {
-            workload_names.push_back(value("--workload"));
-        } else if (matches("--workloads")) {
-            workloads_glob = value("--workloads");
-            if (workloads_glob.empty())
-                fatal("--workloads expects a glob pattern");
-        } else if (matches("--filter")) {
-            filter = value("--filter");
-        } else if (matches("--config")) {
-            config_names.push_back(value("--config"));
-        } else if (matches("--width")) {
-            const std::string v = value("--width");
-            if (v == "4")
-                width = 4;
-            else if (v == "6")
-                width = 6;
-            else
-                fatal("--width expects 4 or 6, got '%s'", v.c_str());
-        } else if (matches("--emu")) {
-            const std::string v = value("--emu");
-            if (v == "interp")
-                setDefaultDecodedExec(false);
-            else if (v == "decoded")
-                setDefaultDecodedExec(true);
-            else
-                fatal("--emu expects interp or decoded, got '%s'",
-                      v.c_str());
-        } else if (matches("--cores")) {
-            const std::string v = value("--cores");
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n == 0 ||
-                n > SysParams::MaxCores)
-                fatal("--cores expects 1..%u, got '%s'",
-                      SysParams::MaxCores, v.c_str());
-            cores = static_cast<unsigned>(n);
         } else if (matches("--sample")) {
-            plan.intervals = parseCount("--sample", value("--sample"));
+            plan.intervals =
+                parseUnsignedFlag("--sample", value("--sample"), 1);
         } else if (matches("--warmup")) {
-            const std::string v = value("--warmup");
-            char *end = nullptr;
-            plan.warmupInsts = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0')
-                fatal("--warmup expects an integer, got '%s'",
-                      v.c_str());
+            plan.warmupInsts =
+                parseUnsignedFlag("--warmup", value("--warmup"));
         } else if (matches("--measure")) {
             plan.measureInsts =
-                parseCount("--measure", value("--measure"));
+                parseUnsignedFlag("--measure", value("--measure"), 1);
         } else if (matches("--cold")) {
-            plan.coldInsts = parseCount("--cold", value("--cold"));
+            plan.coldInsts = parseUnsignedFlag("--cold", value("--cold"), 1);
         } else if (arg == "--validate") {
             validate = true;
         } else if (matches("--max-error")) {
             const std::string v = value("--max-error");
             char *end = nullptr;
             max_error = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || max_error <= 0.0)
+            if (end == v.c_str() || *end != '\0' ||
+                !std::isfinite(max_error) || max_error <= 0.0)
                 fatal("--max-error expects a positive number, got "
                       "'%s'",
                       v.c_str());
-        } else if (matches("--report")) {
-            const std::string v = value("--report");
-            const auto f = sweep::reportFormatFromName(v);
-            if (!f)
-                fatal("--report expects table, json or csv, got '%s'",
-                      v.c_str());
-            format = *f;
-        } else if (matches("--perf-json")) {
-            perf_json = value("--perf-json");
-            if (perf_json.empty())
-                fatal("--perf-json expects a file path");
         } else if (matches("--cpi-json")) {
             cpi_json = value("--cpi-json");
             if (cpi_json.empty())
                 fatal("--cpi-json expects a file path");
         } else if (bool takes_value;
-                   sweep::isCampaignFlag(arg, &takes_value)) {
-            // Engine flags; parsed by parseCampaignArgs below.
-            if (takes_value)
-                ++i;
-        } else if (bool takes_value;
+                   sweep::isSelectionFlag(arg, &takes_value) ||
+                   sweep::isCampaignFlag(arg, &takes_value) ||
                    obs::isObsFlag(arg, &takes_value)) {
-            // Observability flags; parsed by parseObsArgs below.
+            // Shared flags; parsed by parseSelectionArgs,
+            // parseCampaignArgs and parseObsArgs below.
             if (takes_value)
                 ++i;
         } else {
@@ -274,62 +149,7 @@ main(int argc, char **argv)
     if (max_error > 0.0 && !validate)
         fatal("--max-error requires --validate");
 
-    // Workload set.
-    std::vector<const Workload *> workloads;
-    if (!workloads_glob.empty()) {
-        if (!workload_names.empty())
-            fatal("--workloads and --workload are exclusive");
-        workloads = workloadsMatching(workloads_glob, suite);
-    } else if (!workload_names.empty()) {
-        for (const std::string &name : workload_names)
-            workloads.push_back(&workloadByName(name));
-    } else if (suite == "all") {
-        for (const Workload &w : allWorkloads())
-            workloads.push_back(&w);
-    } else {
-        workloads = suiteWorkloads(suite);
-    }
-    if (!filter.empty()) {
-        std::vector<const Workload *> kept;
-        for (const Workload *w : workloads) {
-            if (w->name.find(filter) != std::string::npos)
-                kept.push_back(w);
-        }
-        workloads = kept;
-    }
-    if (workloads.empty())
-        fatal("no workloads selected");
-
-    // Configuration set.
-    const CoreParams base =
-        width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
-    if (config_names.empty())
-        config_names = {"BASE", "RENO"};
-    std::vector<NamedConfig> configs;
-    for (const std::string &name : config_names) {
-        NamedConfig cfg;
-        if (!configByName(name, base, &cfg)) {
-            std::string known;
-            for (const std::string &k : knownConfigNames())
-                known += " " + k;
-            fatal("unknown config '%s' (known:%s)", name.c_str(),
-                  known.c_str());
-        }
-        configs.push_back(cfg);
-    }
-    if (cores > 1) {
-        // Equivalent to a /Nc suffix on every selected config; the
-        // suffix keeps multi-core rows distinguishable in reports.
-        for (NamedConfig &cfg : configs) {
-            if (cfg.params.sys.numCores > 1)
-                fatal("--cores conflicts with config '%s' (already "
-                      "runs %u cores)",
-                      cfg.name.c_str(), cfg.params.sys.numCores);
-            cfg.params.sys.numCores = cores;
-            cfg.name += strprintf("/%uc", cores);
-        }
-    }
-
+    const sweep::Selection sel = sweep::parseSelectionArgs(argc, argv);
     sample::SampleOptions options;
     options.plan = plan;
     options.campaign = sweep::parseCampaignArgs(argc, argv);
@@ -339,77 +159,13 @@ main(int argc, char **argv)
         fatal("--cpi-json requires --cpi-stack");
     if (!cpi_json.empty() && validate)
         fatal("--cpi-json cannot be combined with --validate");
-    if (!perf_json.empty())
-        obs::PhaseStats::instance().enable();
-
-    const auto t0 = std::chrono::steady_clock::now();
-    auto write_perf_json = [&] {
-        if (perf_json.empty())
-            return;
-        const double wall_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        std::FILE *f = std::fopen(perf_json.c_str(), "w");
-        if (!f)
-            fatal("cannot write '%s'", perf_json.c_str());
-        // Phases are disjoint leaves (fast-forward vs warmup vs
-        // detailed ...), so their seconds sum to ~the simulation
-        // share of wall_seconds.
-        const auto phases = obs::PhaseStats::instance().snapshot();
-        std::fprintf(f,
-                     "{\n  \"wall_seconds\": %.3f,\n"
-                     "  \"phases\": [\n",
-                     wall_seconds);
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            const auto &[name, totals] = phases[i];
-            std::fprintf(
-                f,
-                "    {\"phase\": \"%s\", \"seconds\": %.3f, "
-                "\"insts\": %llu, \"minstr_per_s\": %.3f, "
-                "\"count\": %llu}%s\n",
-                name.c_str(),
-                static_cast<double>(totals.micros) / 1e6,
-                static_cast<unsigned long long>(totals.insts),
-                totals.instsPerSec() / 1e6,
-                static_cast<unsigned long long>(totals.count),
-                i + 1 < phases.size() ? "," : "");
-        }
-        // Decoded-block cache totals (flushed by every Emulator on
-        // destruction): how much of the functional work ran through
-        // the superblock engine, and how well its cache held up.
-        auto &reg = obs::MetricsRegistry::instance();
-        const auto c = [&](const char *name) {
-            return static_cast<unsigned long long>(
-                reg.counter(name).value());
-        };
-        std::fprintf(
-            f,
-            "  ],\n"
-            "  \"emu\": {\n"
-            "    \"mode\": \"%s\",\n"
-            "    \"insts_decoded\": %llu,\n"
-            "    \"insts_interpreted\": %llu,\n"
-            "    \"block_cache\": {\"lookups\": %llu, \"hits\": %llu, "
-            "\"blocks_decoded\": %llu, \"superblocks_chained\": %llu, "
-            "\"invalidation_events\": %llu, "
-            "\"invalidated_blocks\": %llu}\n"
-            "  }\n}\n",
-            defaultDecodedExec() ? "decoded" : "interp",
-            c("emu.insts.decoded"), c("emu.insts.interpreted"),
-            c("emu.block_cache.lookups"), c("emu.block_cache.hits"),
-            c("emu.block_cache.blocks_decoded"),
-            c("emu.block_cache.superblocks_chained"),
-            c("emu.block_cache.invalidation_events"),
-            c("emu.block_cache.invalidated_blocks"));
-        std::fclose(f);
-    };
 
     if (validate) {
         const sample::ValidationReport report =
-            sample::validateSampling(workloads, configs, options);
+            sample::validateSampling(sel.workloads, sel.configs,
+                                     options);
         const std::string rendered =
-            sample::renderValidation(report, format);
+            sample::renderValidation(report, sel.format);
         std::fwrite(rendered.data(), 1, rendered.size(), stdout);
         std::fprintf(stderr,
                      "[sample] max |IPC error| %.2f%%; full %.2fs "
@@ -420,7 +176,6 @@ main(int argc, char **argv)
                      report.sampledSeconds,
                      report.sampledStats.simulated,
                      report.speedup());
-        write_perf_json();
         if (max_error > 0.0 && report.maxAbsErrorPct > max_error) {
             std::fprintf(stderr,
                          "[sample] FAIL: max |IPC error| %.2f%% "
@@ -432,10 +187,10 @@ main(int argc, char **argv)
     }
 
     const sample::SampledCampaign sampled =
-        sample::runSampledCampaign(workloads, configs, options);
-    const std::string rendered = sample::renderSampled(sampled, format);
+        sample::runSampledCampaign(sel.workloads, sel.configs, options);
+    const std::string rendered =
+        sample::renderSampled(sampled, sel.format);
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-    write_perf_json();
 
     if (!cpi_json.empty()) {
         // Extrapolated stacks; a run loses its stack when any of its
