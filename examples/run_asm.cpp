@@ -10,12 +10,11 @@
  *   run_asm --sim --config base x.s   # + chosen configuration
  */
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
+#include "common/textfile.hpp"
 #include "emu/emulator.hpp"
 #include "uarch/core.hpp"
 
@@ -42,15 +41,13 @@ main(int argc, char **argv)
     if (path.empty())
         fatal("usage: run_asm [--sim] [--config <name>] program.s");
 
-    std::ifstream in(path);
-    if (!in)
+    std::string source;
+    if (!readTextFile(path, &source))
         fatal("cannot open %s", path.c_str());
-    std::stringstream ss;
-    ss << in.rdbuf();
 
     Program prog;
     try {
-        prog = assemble(ss.str());
+        prog = assemble(source);
     } catch (const AsmError &e) {
         fatal("%s: %s", path.c_str(), e.what());
     }

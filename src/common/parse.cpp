@@ -6,7 +6,7 @@ namespace reno
 {
 
 std::optional<std::uint64_t>
-parseUnsigned(const std::string &text, std::uint64_t lo, std::uint64_t hi)
+parseUnsigned(std::string_view text, std::uint64_t lo, std::uint64_t hi)
 {
     if (text.empty())
         return std::nullopt;
@@ -20,6 +20,28 @@ parseUnsigned(const std::string &text, std::uint64_t lo, std::uint64_t hi)
             return std::nullopt;
         n = n * 10 + digit;
     }
+    if (n < lo || n > hi)
+        return std::nullopt;
+    return n;
+}
+
+std::optional<std::int64_t>
+parseSigned(std::string_view text, std::int64_t lo, std::int64_t hi)
+{
+    const bool negative = !text.empty() && text.front() == '-';
+    if (negative)
+        text.remove_prefix(1);
+    // The magnitude of the most negative value is one past the
+    // largest positive one.
+    const std::uint64_t limit =
+        std::uint64_t(std::numeric_limits<std::int64_t>::max()) +
+        (negative ? 1 : 0);
+    const auto magnitude = parseUnsigned(text, negative ? 1 : 0, limit);
+    if (!magnitude)
+        return std::nullopt;
+    const std::int64_t n =
+        negative ? static_cast<std::int64_t>(0 - *magnitude)
+                 : static_cast<std::int64_t>(*magnitude);
     if (n < lo || n > hi)
         return std::nullopt;
     return n;

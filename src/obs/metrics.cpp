@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/log.hpp"
 #include "common/report.hpp"
+#include "common/textfile.hpp"
 
 namespace reno::obs
 {
@@ -186,18 +186,7 @@ MetricsRegistry::renderJson() const
 bool
 MetricsRegistry::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("metrics: cannot write '%s'", path.c_str());
-        return false;
-    }
-    const std::string json = renderJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        warn("metrics: short write to '%s'", path.c_str());
-    return ok;
+    return writeTextFile(path, renderJson());
 }
 
 void

@@ -1,9 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
 #include "common/log.hpp"
 #include "common/report.hpp"
+#include "common/textfile.hpp"
 
 namespace reno::obs
 {
@@ -203,18 +202,7 @@ Tracer::renderJson() const
 bool
 Tracer::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("tracer: cannot write '%s'", path.c_str());
-        return false;
-    }
-    const std::string json = renderJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        warn("tracer: short write to '%s'", path.c_str());
-    return ok;
+    return writeTextFile(path, renderJson());
 }
 
 void

@@ -1,8 +1,6 @@
 #include "sample/checkpoint.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <ranges>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
@@ -21,14 +19,16 @@ namespace
 // composable-stack encoding (any direction engine's tables, BTB,
 // RAS, indirect-target table). v5 added multi-core slots: a "cores N"
 // header followed by one functional block per core (each core of a
-// System runs its own emulator), then the warm half. On one core the
-// warm half is the single-core WarmState layout, byte-stable across
-// versions; on N > 1 cores it is the SysWarmState layout -- the MESI
-// directory ("bus" + sorted "busln" lines), the shared stack
-// ("sharedlevels" + cache blocks) and one "corewarm" block per core
-// (lastblk, private L1s, full predictor state).
+// System runs its own emulator), then the warm half: "warmcfg", then
+// on one core a single core-warm block (lastblk, every cache level,
+// full predictor state), byte-stable across versions; on N > 1 cores
+// the MESI directory ("bus" + sorted "busln" lines), the shared stack
+// ("sharedlevels" + cache blocks) and one "corewarm i" header plus
+// core-warm block (lastblk, private L1s, predictor) per core.
 constexpr const char *CheckpointTag = "reno-checkpoint v5";
 constexpr const char *ProfileTag = "reno-funcprofile v1";
+constexpr const char *CheckpointExt = ".ckpt";
+constexpr const char *ProfileExt = ".prof";
 
 std::string
 hexEncode(const std::uint8_t *data, std::size_t len)
@@ -54,7 +54,7 @@ hexNibble(char c)
 }
 
 bool
-hexDecode(const std::string &text, std::vector<std::uint8_t> *out)
+hexDecode(std::string_view text, std::vector<std::uint8_t> *out)
 {
     if (text.size() % 2)
         return false;
@@ -71,93 +71,50 @@ hexDecode(const std::string &text, std::vector<std::uint8_t> *out)
 }
 
 bool
-keyValue(const std::string &line, const std::string &key,
-         std::string *value)
+failWith(std::string *why, const std::string &reason)
 {
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos || line.compare(0, space, key) != 0)
-        return false;
-    *value = line.substr(space + 1);
-    return true;
-}
-
-bool
-keyU64(const std::string &line, const std::string &key,
-       std::uint64_t *value)
-{
-    std::string v;
-    if (!keyValue(line, key, &v))
-        return false;
-    try {
-        *value = std::stoull(v);
-    } catch (...) {
-        return false;
-    }
-    return true;
+    if (why)
+        *why = reason;
+    return false;
 }
 
 void
 encodeCacheState(std::string &out, const std::string &name,
                  const CacheState &state)
 {
-    out += strprintf("cache %s %llu %zu %zu\n", name.c_str(),
-                     static_cast<unsigned long long>(state.lruClock),
-                     state.validLines.size(),
-                     state.prefetch.entries.size());
+    putLine(out, "cache", name, state.lruClock, state.validLines.size(),
+            state.prefetch.entries.size());
     for (const CacheState::Line &l : state.validLines)
-        out += strprintf("line %u %llu %llu %d %d\n", l.index,
-                         static_cast<unsigned long long>(l.tag),
-                         static_cast<unsigned long long>(l.lruStamp),
-                         l.dirty ? 1 : 0, l.prefetched ? 1 : 0);
+        putLine(out, "line", l.index, l.tag, l.lruStamp, l.dirty,
+                l.prefetched);
     for (const PrefetchState::Entry &e : state.prefetch.entries)
-        out += strprintf("pfent %u %llu %llu %lld %u\n", e.index,
-                         static_cast<unsigned long long>(e.regionTag),
-                         static_cast<unsigned long long>(e.lastBlock),
-                         static_cast<long long>(e.stride),
-                         e.confidence);
+        putLine(out, "pfent", e.index, e.regionTag, e.lastBlock, e.stride,
+                e.confidence);
 }
 
 bool
-decodeCacheState(std::istream &in, std::string &line,
-                 const std::string &expected_name, CacheState *out)
+decodeCacheState(LineReader &in, const std::string &expected_name,
+                 CacheState *out)
 {
-    if (!std::getline(in, line))
-        return false;
-    std::istringstream hdr(line);
-    std::string key, name;
-    std::size_t count = 0, pf_count = 0;
-    if (!(hdr >> key >> name >> out->lruClock >> count >> pf_count) ||
-        key != "cache" || name != expected_name)
+    std::string_view name;
+    std::uint64_t count = 0, pf_count = 0;
+    if (!in.next("cache", name, out->lruClock, count, pf_count) ||
+        name != expected_name)
         return false;
     out->validLines.clear();
-    out->validLines.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream ls(line);
+    for (std::uint64_t i = 0; i < count; ++i) {
         CacheState::Line l;
-        int dirty = 0, prefetched = 0;
-        if (!(ls >> key >> l.index >> l.tag >> l.lruStamp >> dirty >>
-              prefetched) ||
-            key != "line")
+        if (!in.next("line", l.index, l.tag, l.lruStamp, l.dirty,
+                     l.prefetched))
             return false;
-        l.dirty = dirty != 0;
-        l.prefetched = prefetched != 0;
         out->validLines.push_back(l);
     }
     out->prefetch.entries.clear();
-    out->prefetch.entries.reserve(pf_count);
-    for (std::size_t i = 0; i < pf_count; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream es(line);
+    for (std::uint64_t i = 0; i < pf_count; ++i) {
         PrefetchState::Entry e;
-        long long stride = 0;
-        if (!(es >> key >> e.index >> e.regionTag >> e.lastBlock >>
-              stride >> e.confidence) ||
-            key != "pfent")
+        if (!in.next("pfent", e.index, e.regionTag, e.lastBlock,
+                     e.stride, e.confidence))
             return false;
-        e.stride = stride;
         out->prefetch.entries.push_back(e);
     }
     return true;
@@ -168,90 +125,47 @@ void
 encodeEmuHalf(std::string &out, unsigned core,
               const EmuCheckpoint &emu)
 {
-    out += strprintf("core %u\n", core);
-    out += strprintf("prog %llu\n",
-                     static_cast<unsigned long long>(emu.progDigest));
-    out += strprintf("inst %llu\n",
-                     static_cast<unsigned long long>(emu.instCount));
-    out += strprintf("exit %llu\n",
-                     static_cast<unsigned long long>(emu.exitCode));
-    out += strprintf("rand %llu\n",
-                     static_cast<unsigned long long>(emu.randState));
-    out += strprintf("done %d\n", emu.done ? 1 : 0);
-    out += strprintf("pc %llu\n",
-                     static_cast<unsigned long long>(emu.state.pc));
-    out += "regs";
-    for (unsigned r = 0; r < NumLogRegs; ++r)
-        out += strprintf(" %llu",
-                         static_cast<unsigned long long>(
-                             emu.state.regs[r]));
-    out += '\n';
-    out += strprintf("output %s\n",
-                     hexEncode(reinterpret_cast<const std::uint8_t *>(
-                                   emu.output.data()),
-                               emu.output.size())
-                         .c_str());
-    out += strprintf("pages %zu\n", emu.mem.pages().size());
+    putLine(out, "core", core);
+    putLine(out, "prog", emu.progDigest);
+    putLine(out, "inst", emu.instCount);
+    putLine(out, "exit", emu.exitCode);
+    putLine(out, "rand", emu.randState);
+    putLine(out, "done", emu.done);
+    putLine(out, "pc", emu.state.pc);
+    putLine(out, "regs", emu.state.regs);
+    putLine(out, "output",
+            hexEncode(reinterpret_cast<const std::uint8_t *>(
+                          emu.output.data()),
+                      emu.output.size()));
+    putLine(out, "pages", emu.mem.pages().size());
     for (const auto &[page_num, page] : emu.mem.pages())
-        out += strprintf("page %llu %s\n",
-                         static_cast<unsigned long long>(page_num),
-                         hexEncode(page.data(), page.size()).c_str());
+        putLine(out, "page", page_num,
+                hexEncode(page.data(), page.size()));
 }
 
 bool
-decodeEmuHalf(std::istream &in, std::string &line, unsigned core,
-              EmuCheckpoint *emu)
+decodeEmuHalf(LineReader &in, unsigned core, EmuCheckpoint *emu)
 {
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
-    std::uint64_t hdr_core = 0;
-    if (!next_u64("core", &hdr_core) || hdr_core != core)
-        return false;
-    std::uint64_t done = 0;
-    if (!next_u64("prog", &emu->progDigest) ||
-        !next_u64("inst", &emu->instCount) ||
-        !next_u64("exit", &emu->exitCode) ||
-        !next_u64("rand", &emu->randState) ||
-        !next_u64("done", &done))
-        return false;
-    emu->done = done != 0;
-    if (!next_u64("pc", &emu->state.pc))
-        return false;
-
-    if (!std::getline(in, line) || line.rfind("regs", 0) != 0)
-        return false;
-    {
-        std::istringstream regs(line.substr(4));
-        for (unsigned r = 0; r < NumLogRegs; ++r) {
-            if (!(regs >> emu->state.regs[r]))
-                return false;
-        }
-    }
-
-    std::string hex;
+    unsigned hdr_core = 0;
+    std::string_view hex;
     std::vector<std::uint8_t> bytes;
-    if (!std::getline(in, line) || !keyValue(line, "output", &hex) ||
-        !hexDecode(hex, &bytes))
+    std::uint64_t npages = 0;
+    if (!in.next("core", hdr_core) || hdr_core != core ||
+        !in.next("prog", emu->progDigest) ||
+        !in.next("inst", emu->instCount) ||
+        !in.next("exit", emu->exitCode) ||
+        !in.next("rand", emu->randState) || !in.next("done", emu->done) ||
+        !in.next("pc", emu->state.pc) ||
+        !in.next("regs", std::span<std::uint64_t>(emu->state.regs)) ||
+        !in.next("output", hex) || !hexDecode(hex, &bytes) ||
+        !in.next("pages", npages))
         return false;
     emu->output.assign(bytes.begin(), bytes.end());
-
-    std::uint64_t npages = 0;
-    if (!next_u64("pages", &npages))
-        return false;
     for (std::uint64_t p = 0; p < npages; ++p) {
-        if (!std::getline(in, line) || line.rfind("page ", 0) != 0)
-            return false;
-        const std::size_t space = line.find(' ', 5);
-        if (space == std::string::npos)
-            return false;
         std::uint64_t page_num = 0;
-        try {
-            page_num = std::stoull(line.substr(5, space - 5));
-        } catch (...) {
-            return false;
-        }
-        if (!hexDecode(line.substr(space + 1), &bytes) ||
+        if (!in.next("page", page_num, hex) ||
+            page_num > (~Addr{0} >> SparseMemory::PageBits) ||
+            !hexDecode(hex, &bytes) ||
             bytes.size() != SparseMemory::PageSize)
             return false;
         emu->mem.load(page_num << SparseMemory::PageBits, bytes.data(),
@@ -261,286 +175,176 @@ decodeEmuHalf(std::istream &in, std::string &line, unsigned core,
 }
 
 /** The composable-predictor state block (direction tables, BTB, RAS,
- *  indirect-target table) -- one per warm state, shared between the
- *  single-core warm half and each multi-core "corewarm" block. */
+ *  indirect-target table). */
 void
 encodeBpredState(std::string &out, const BranchPredState &bp)
 {
-    out += strprintf("bpdir %llu %zu\n",
-                     static_cast<unsigned long long>(bp.dir.history),
-                     bp.dir.tables.size());
-    for (const std::vector<std::uint64_t> &table : bp.dir.tables) {
-        out += strprintf("dtab %zu", table.size());
-        // Signed rendering: two's-complement words (perceptron
-        // weights) print as small negative numbers, not 20-digit
-        // wrap-arounds.
-        for (const std::uint64_t v : table)
-            out += strprintf(" %lld",
-                             static_cast<long long>(v));
-        out += '\n';
-    }
-    out += strprintf("btb %zu %llu\n", bp.btb.entries.size(),
-                     static_cast<unsigned long long>(
-                         bp.btb.lruClock));
+    putLine(out, "bpdir", bp.dir.history, bp.dir.tables.size());
+    // Signed rendering: two's-complement words (perceptron weights)
+    // print as small negative numbers, not 20-digit wrap-arounds.
+    const auto as_signed = [](std::uint64_t v) {
+        return static_cast<std::int64_t>(v);
+    };
+    for (const std::vector<std::uint64_t> &table : bp.dir.tables)
+        putLine(out, "dtab", table.size(),
+                table | std::views::transform(as_signed));
+    putLine(out, "btb", bp.btb.entries.size(), bp.btb.lruClock);
     for (const BtbState::Entry &e : bp.btb.entries)
-        out += strprintf("btbent %u %llu %llu %llu\n", e.index,
-                         static_cast<unsigned long long>(e.tag),
-                         static_cast<unsigned long long>(e.target),
-                         static_cast<unsigned long long>(e.lruStamp));
-    out += strprintf("ras %zu %u", bp.ras.stack.size(), bp.ras.top);
-    for (const Addr a : bp.ras.stack)
-        out += strprintf(" %llu", static_cast<unsigned long long>(a));
-    out += '\n';
-    out += strprintf("itt %zu %llu\n", bp.indirect.entries.size(),
-                     static_cast<unsigned long long>(
-                         bp.indirect.history));
+        putLine(out, "btbent", e.index, e.tag, e.target, e.lruStamp);
+    putLine(out, "ras", bp.ras.stack.size(), bp.ras.top, bp.ras.stack);
+    putLine(out, "itt", bp.indirect.entries.size(), bp.indirect.history);
     for (const IndirectState::Entry &e : bp.indirect.entries)
-        out += strprintf("ittent %u %llu %llu\n", e.index,
-                         static_cast<unsigned long long>(e.tag),
-                         static_cast<unsigned long long>(e.target));
+        putLine(out, "ittent", e.index, e.tag, e.target);
 }
 
 bool
-decodeBpredState(std::istream &in, std::string &line,
-                 BranchPredState *out)
+decodeBpredState(LineReader &in, BranchPredState *bp)
 {
-    BranchPredState &bp = *out;
-    {
-        std::size_t ntables = 0;
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> bp.dir.history >> ntables) ||
-            key != "bpdir")
-            return false;
-        bp.dir.tables.resize(ntables);
-        for (std::size_t t = 0; t < ntables; ++t) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream ts(line);
-            std::size_t len = 0;
-            std::string key2;
-            if (!(ts >> key2 >> len) || key2 != "dtab")
-                return false;
-            bp.dir.tables[t].resize(len);
-            for (std::size_t i = 0; i < len; ++i) {
-                long long v = 0;
-                if (!(ts >> v))
-                    return false;
-                bp.dir.tables[t][i] = static_cast<std::uint64_t>(v);
-            }
-        }
-    }
-    {
-        std::size_t nbtb = 0;
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> nbtb >> bp.btb.lruClock) || key != "btb")
-            return false;
-        for (std::size_t i = 0; i < nbtb; ++i) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream es(line);
-            BtbState::Entry e;
-            if (!(es >> key >> e.index >> e.tag >> e.target >>
-                  e.lruStamp) ||
-                key != "btbent")
-                return false;
-            bp.btb.entries.push_back(e);
-        }
-    }
-    if (!std::getline(in, line) || line.rfind("ras ", 0) != 0)
+    std::uint64_t n = 0;
+    if (!in.next("bpdir", bp->dir.history, n))
         return false;
-    {
-        std::istringstream rs(line.substr(4));
-        std::size_t n = 0;
-        if (!(rs >> n >> bp.ras.top))
+    for (std::uint64_t t = 0; t < n; ++t) {
+        std::uint64_t len = 0;
+        std::vector<std::uint64_t> table;
+        if (!in.next("dtab", len, listOf<std::int64_t>(len, table)))
             return false;
-        bp.ras.stack.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!(rs >> bp.ras.stack[i]))
-                return false;
-        }
+        bp->dir.tables.push_back(std::move(table));
     }
-    {
-        std::size_t nitt = 0;
-        if (!std::getline(in, line))
+    if (!in.next("btb", n, bp->btb.lruClock))
+        return false;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        BtbState::Entry e;
+        if (!in.next("btbent", e.index, e.tag, e.target, e.lruStamp))
             return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> nitt >> bp.indirect.history) ||
-            key != "itt")
+        bp->btb.entries.push_back(e);
+    }
+    if (!in.next("ras", n, bp->ras.top, listOf(n, bp->ras.stack)) ||
+        !in.next("itt", n, bp->indirect.history))
+        return false;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        IndirectState::Entry e;
+        if (!in.next("ittent", e.index, e.tag, e.target))
             return false;
-        for (std::size_t i = 0; i < nitt; ++i) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream es(line);
-            IndirectState::Entry e;
-            if (!(es >> key >> e.index >> e.tag >> e.target) ||
-                key != "ittent")
-                return false;
-            bp.indirect.entries.push_back(e);
-        }
+        bp->indirect.entries.push_back(e);
     }
     return true;
 }
 
-/** Multi-core warm half: MESI directory, shared stack, then one
- *  "corewarm" block (lastblk + L1s + predictor) per core. */
+/** One core's warm tables: the last fetched I$ block, every cache
+ *  level the hierarchy owns (MemHierarchy::levels()) and the full
+ *  predictor state. The whole warm half on one core; one "corewarm"
+ *  block per core of a multi-core checkpoint. */
 void
-encodeSysWarmHalf(std::string &out, const SysWarmState &warm)
+encodeCoreWarm(std::string &out, Addr last_fetch_block,
+               const MemHierarchy &mem, const BranchPredictor &bp)
 {
-    out += strprintf("warmcfg %llu\n",
-                     static_cast<unsigned long long>(warmConfigDigest(
-                         warm.memParams(), warm.bpParams(),
-                         warm.numCores())));
+    putLine(out, "lastblk", last_fetch_block);
+    const std::vector<const Cache *> levels = mem.levels();
+    putLine(out, "levels", levels.size());
+    for (const Cache *level : levels)
+        encodeCacheState(out, level->name(), level->exportState());
+    encodeBpredState(out, bp.exportState());
+}
+
+bool
+decodeCoreWarm(LineReader &in, Addr *last_fetch_block,
+               MemHierarchy &mem, BranchPredictor &bp, std::string *why)
+{
+    if (!in.next("lastblk", *last_fetch_block))
+        return failWith(why, "corrupt warm block (lastblk)");
+    // Per-level blocks arrive in State order; each must carry the
+    // level name the target hierarchy expects, so a reordered or
+    // spliced file fails the decode instead of warming wrong levels.
+    const std::vector<const Cache *> levels = mem.levels();
+    std::uint64_t num_levels = 0;
+    if (!in.next("levels", num_levels) || num_levels != levels.size())
+        return failWith(why, "cache-level count does not match the "
+                             "target geometry");
+    MemHierarchy::State mem_state;
+    for (const Cache *level : levels) {
+        mem_state.caches.emplace_back();
+        if (!decodeCacheState(in, level->name(),
+                              &mem_state.caches.back()))
+            return failWith(why, strprintf("corrupt cache block ('%s')",
+                                           level->name().c_str()));
+    }
+    if (!mem.importState(mem_state))
+        return failWith(why, "cache tables do not fit the target "
+                             "models");
+    BranchPredState bp_state;
+    if (!decodeBpredState(in, &bp_state))
+        return failWith(why, "corrupt predictor block");
+    if (!bp.importState(bp_state))
+        return failWith(why, "predictor tables do not fit the target "
+                             "models");
+    return true;
+}
+
+/** Multi-core warm half after "warmcfg": MESI directory, shared
+ *  stack, then one "corewarm" block per core. */
+void
+encodeSysWarm(std::string &out, const SysWarmState &warm)
+{
     const CoherenceBusState bus = warm.bus().exportState();
-    out += strprintf("bus %zu %llu %llu %llu %llu\n",
-                     bus.lines.size(),
-                     static_cast<unsigned long long>(
-                         bus.invalidations),
-                     static_cast<unsigned long long>(
-                         bus.interventions),
-                     static_cast<unsigned long long>(
-                         bus.upgradeMisses),
-                     static_cast<unsigned long long>(bus.writebacks));
+    putLine(out, "bus", bus.lines.size(), bus.invalidations,
+            bus.interventions, bus.upgradeMisses, bus.writebacks);
     for (const CoherenceBusState::Line &l : bus.lines)
-        out += strprintf("busln %llu %u %d %d\n",
-                         static_cast<unsigned long long>(l.line),
-                         l.sharers, l.owner, l.modified ? 1 : 0);
-    out += strprintf("sharedlevels %zu\n", warm.numSharedLevels());
+        putLine(out, "busln", l.line, l.sharers, l.owner, l.modified);
+    putLine(out, "sharedlevels", warm.numSharedLevels());
     for (std::size_t i = 0; i < warm.numSharedLevels(); ++i)
         encodeCacheState(out, warm.sharedLevel(i).name(),
                          warm.sharedLevel(i).exportState());
     for (unsigned c = 0; c < warm.numCores(); ++c) {
-        out += strprintf("corewarm %u\n", c);
-        out += strprintf("lastblk %llu\n",
-                         static_cast<unsigned long long>(
-                             warm.lastFetchBlock(c)));
-        const MemHierarchy::State mem_state =
-            warm.coreMem(c).exportState();
-        const std::vector<const Cache *> levels =
-            warm.coreMem(c).levels();
-        out += strprintf("levels %zu\n", mem_state.caches.size());
-        for (std::size_t i = 0; i < mem_state.caches.size(); ++i)
-            encodeCacheState(out, levels[i]->name(),
-                             mem_state.caches[i]);
-        encodeBpredState(out, warm.coreBp(c).exportState());
+        putLine(out, "corewarm", c);
+        encodeCoreWarm(out, warm.lastFetchBlock(c), warm.coreMem(c),
+                       warm.coreBp(c));
     }
 }
 
 bool
-decodeSysWarmHalf(std::istream &in, std::string &line,
-                  const MemHierarchy::Params &mem_params,
-                  const BranchPredParams &bp_params,
-                  unsigned num_cores,
-                  std::shared_ptr<SysWarmState> *out,
-                  std::string *why)
+decodeSysWarm(LineReader &in, SysWarmState &warm, std::string *why)
 {
-    const auto fail = [why](const std::string &reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
-
-    auto warm = std::make_shared<SysWarmState>(mem_params, bp_params,
-                                               num_cores);
-
-    std::uint64_t warmcfg = 0;
-    if (!next_u64("warmcfg", &warmcfg) ||
-        warmcfg != warmConfigDigest(mem_params, bp_params, num_cores))
-        return fail("warm-config digest does not match the target "
-                    "models");
-
     CoherenceBusState bus;
-    {
-        if (!std::getline(in, line))
-            return fail("truncated warm half (no bus block)");
-        std::istringstream hdr(line);
-        std::string key;
-        std::size_t nlines = 0;
-        if (!(hdr >> key >> nlines >> bus.invalidations >>
-              bus.interventions >> bus.upgradeMisses >>
-              bus.writebacks) ||
-            key != "bus")
-            return fail("corrupt MESI bus header");
-        bus.lines.reserve(nlines);
-        for (std::size_t i = 0; i < nlines; ++i) {
-            if (!std::getline(in, line))
-                return fail("truncated MESI directory");
-            std::istringstream ls(line);
-            CoherenceBusState::Line l;
-            int modified = 0;
-            if (!(ls >> key >> l.line >> l.sharers >> l.owner >>
-                  modified) ||
-                key != "busln")
-                return fail("corrupt MESI directory line");
-            l.modified = modified != 0;
-            bus.lines.push_back(l);
-        }
+    std::uint64_t n = 0;
+    if (!in.next("bus", n, bus.invalidations, bus.interventions,
+                 bus.upgradeMisses, bus.writebacks))
+        return failWith(why, "corrupt MESI bus header");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        CoherenceBusState::Line l;
+        if (!in.next("busln", l.line, l.sharers, l.owner, l.modified))
+            return failWith(why, "corrupt MESI directory line");
+        bus.lines.push_back(l);
     }
-    if (!warm->bus().importState(bus))
-        return fail(strprintf("MESI directory does not fit a %u-core "
-                              "bus", num_cores));
+    if (!warm.bus().importState(bus))
+        return failWith(why, strprintf("MESI directory does not fit a "
+                                       "%u-core bus",
+                                       warm.numCores()));
 
-    std::uint64_t nshared = 0;
-    if (!next_u64("sharedlevels", &nshared) ||
-        nshared != warm->numSharedLevels())
-        return fail("shared-stack depth does not match the target "
-                    "geometry");
-    for (std::size_t i = 0; i < nshared; ++i) {
+    if (!in.next("sharedlevels", n) || n != warm.numSharedLevels())
+        return failWith(why, "shared-stack depth does not match the "
+                             "target geometry");
+    for (std::size_t i = 0; i < warm.numSharedLevels(); ++i) {
+        Cache &level = warm.sharedLevel(i);
         CacheState state;
-        if (!decodeCacheState(in, line, warm->sharedLevel(i).name(),
-                              &state) ||
-            !warm->sharedLevel(i).importState(state))
-            return fail(strprintf("corrupt shared-level block "
-                                  "('%s')",
-                                  warm->sharedLevel(i).name()
-                                      .c_str()));
+        if (!decodeCacheState(in, level.name(), &state) ||
+            !level.importState(state))
+            return failWith(why, strprintf("corrupt shared-level block "
+                                           "('%s')",
+                                           level.name().c_str()));
     }
 
-    for (unsigned c = 0; c < num_cores; ++c) {
-        std::uint64_t hdr_core = 0;
-        if (!next_u64("corewarm", &hdr_core) || hdr_core != c)
-            return fail(strprintf("corrupt per-core warm block "
-                                  "(core %u)", c));
-        std::uint64_t lastblk = 0;
-        if (!next_u64("lastblk", &lastblk))
-            return fail(strprintf("corrupt per-core warm block "
-                                  "(core %u)", c));
-        warm->lastFetchBlock(c) = lastblk;
-        std::uint64_t nlevels = 0;
-        MemHierarchy::State mem_state;
-        const std::vector<const Cache *> levels =
-            warm->coreMem(c).levels();
-        if (!next_u64("levels", &nlevels) ||
-            nlevels != levels.size())
-            return fail(strprintf("corrupt per-core warm block "
-                                  "(core %u)", c));
-        mem_state.caches.resize(nlevels);
-        for (std::size_t i = 0; i < nlevels; ++i) {
-            if (!decodeCacheState(in, line, levels[i]->name(),
-                                  &mem_state.caches[i]))
-                return fail(strprintf("corrupt per-core warm block "
-                                      "(core %u, '%s')", c,
-                                      levels[i]->name().c_str()));
-        }
-        if (!warm->coreMem(c).importState(mem_state))
-            return fail(strprintf("per-core L1 state does not fit "
-                                  "(core %u)", c));
-        BranchPredState bp;
-        if (!decodeBpredState(in, line, &bp) ||
-            !warm->coreBp(c).importState(bp))
-            return fail(strprintf("corrupt per-core predictor block "
-                                  "(core %u)", c));
+    for (unsigned c = 0; c < warm.numCores(); ++c) {
+        unsigned hdr_core = 0;
+        if (!in.next("corewarm", hdr_core) || hdr_core != c)
+            return failWith(why, strprintf("corrupt per-core warm "
+                                           "block (core %u)",
+                                           c));
+        std::string reason;
+        if (!decodeCoreWarm(in, &warm.lastFetchBlock(c), warm.coreMem(c),
+                            warm.coreBp(c), &reason))
+            return failWith(why, strprintf("core %u: %s", c,
+                                           reason.c_str()));
     }
-    *out = std::move(warm);
     return true;
 }
 
@@ -602,43 +406,31 @@ CheckpointStore::encode(const SampleCheckpoint &ckpt)
               "but snapshots %u", ckpt.sysWarm->numCores(),
               ckpt.numCores());
 
-    std::string out = CheckpointTag;
-    out += '\n';
+    std::string out;
+    putLine(out, CheckpointTag);
 
     // --- functional half, one block per core --------------------------
-    out += strprintf("cores %u\n", ckpt.numCores());
+    putLine(out, "cores", ckpt.numCores());
     encodeEmuHalf(out, 0, *ckpt.emu);
     for (std::size_t i = 0; i < ckpt.extraEmus.size(); ++i)
         encodeEmuHalf(out, static_cast<unsigned>(i + 1),
                       *ckpt.extraEmus[i]);
 
     // --- warm half ----------------------------------------------------
-    if (ckpt.sysWarm) {
-        encodeSysWarmHalf(out, *ckpt.sysWarm);
-    } else {
-        const WarmState &warm = *ckpt.warm;
-        out += strprintf("warmcfg %llu\n",
-                         static_cast<unsigned long long>(
-                             warmConfigDigest(warm.memParams(),
-                                              warm.bpParams(),
-                                              ckpt.numCores())));
-        out += strprintf("lastblk %llu\n",
-                         static_cast<unsigned long long>(
-                             warm.lastFetchBlock));
-        const MemHierarchy::State mem_state = warm.mem.exportState();
-        const std::vector<const Cache *> levels = warm.mem.levels();
-        out += strprintf("levels %zu\n", mem_state.caches.size());
-        for (std::size_t i = 0; i < mem_state.caches.size(); ++i)
-            encodeCacheState(out, levels[i]->name(),
-                             mem_state.caches[i]);
-        encodeBpredState(out, warm.bp.exportState());
-    }
+    const MemHierarchy::Params &mem_params =
+        ckpt.sysWarm ? ckpt.sysWarm->memParams() : ckpt.warm->memParams();
+    const BranchPredParams &bp_params =
+        ckpt.sysWarm ? ckpt.sysWarm->bpParams() : ckpt.warm->bpParams();
+    putLine(out, "warmcfg",
+            warmConfigDigest(mem_params, bp_params, ckpt.numCores()));
+    if (ckpt.sysWarm)
+        encodeSysWarm(out, *ckpt.sysWarm);
+    else
+        encodeCoreWarm(out, ckpt.warm->lastFetchBlock, ckpt.warm->mem,
+                       ckpt.warm->bp);
 
     // Integrity digest over everything above.
-    Fnv64 h;
-    h.update(out);
-    out += strprintf("digest %llu\n",
-                     static_cast<unsigned long long>(h.value()));
+    putLine(out, "digest", Fnv64().update(out).value());
     return out;
 }
 
@@ -649,127 +441,74 @@ CheckpointStore::decode(const std::string &text,
                         SampleCheckpoint *out,
                         unsigned expected_cores, std::string *why)
 {
-    const auto fail = [why](const std::string &reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
-
     // Verify the trailing integrity digest first.
     const std::size_t digest_pos = text.rfind("digest ");
     if (digest_pos == std::string::npos)
-        return fail("no integrity digest (truncated file?)");
+        return failWith(why, "no integrity digest (truncated file?)");
     {
         std::uint64_t stored = 0;
-        const std::string digest_line =
-            text.substr(digest_pos,
-                        text.find('\n', digest_pos) - digest_pos);
-        if (!keyU64(digest_line, "digest", &stored))
-            return fail("malformed integrity digest");
-        Fnv64 h;
-        h.update(text.substr(0, digest_pos));
-        if (h.value() != stored)
-            return fail("integrity digest mismatch (corrupt or "
-                        "spliced file)");
+        LineReader trailer(std::string_view(text).substr(digest_pos));
+        if (!trailer.next("digest", stored) || !trailer.finish())
+            return failWith(why, "malformed integrity digest");
+        if (Fnv64().update(text.substr(0, digest_pos)).value() != stored)
+            return failWith(why, "integrity digest mismatch (corrupt or "
+                                 "spliced file)");
     }
 
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != CheckpointTag)
-        return fail(strprintf("bad or truncated header (expected "
-                              "'%s')", CheckpointTag));
-
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
+    LineReader in(std::string_view(text).substr(0, digest_pos));
+    if (!in.expectLine(CheckpointTag))
+        return failWith(why, strprintf("bad or truncated header "
+                                       "(expected '%s')",
+                                       CheckpointTag));
 
     std::uint64_t num_cores = 0;
-    if (!next_u64("cores", &num_cores) || num_cores == 0)
-        return fail("missing or zero core count");
+    if (!in.next("cores", num_cores) || num_cores == 0)
+        return failWith(why, "missing or zero core count");
     if (num_cores != expected_cores)
-        return fail(strprintf("checkpoint snapshots %llu cores, "
-                              "expected %u",
-                              static_cast<unsigned long long>(
-                                  num_cores),
-                              expected_cores));
+        return failWith(why, strprintf("checkpoint snapshots %llu "
+                                       "cores, expected %u",
+                                       static_cast<unsigned long long>(
+                                           num_cores),
+                                       expected_cores));
 
-    auto emu = std::make_shared<EmuCheckpoint>();
-    if (!decodeEmuHalf(in, line, 0, emu.get()))
-        return fail("corrupt functional block (core 0)");
-    std::vector<std::shared_ptr<const EmuCheckpoint>> extra;
-    for (std::uint64_t c = 1; c < num_cores; ++c) {
-        auto e = std::make_shared<EmuCheckpoint>();
-        if (!decodeEmuHalf(in, line, static_cast<unsigned>(c),
-                           e.get()))
-            return fail(strprintf("corrupt functional block "
-                                  "(core %llu)",
-                                  static_cast<unsigned long long>(c)));
-        extra.push_back(std::move(e));
+    SampleCheckpoint ckpt;
+    for (unsigned c = 0; c < expected_cores; ++c) {
+        auto emu = std::make_shared<EmuCheckpoint>();
+        if (!decodeEmuHalf(in, c, emu.get()))
+            return failWith(why, strprintf("corrupt functional block "
+                                           "(core %u)",
+                                           c));
+        if (c == 0)
+            ckpt.emu = std::move(emu);
+        else
+            ckpt.extraEmus.push_back(std::move(emu));
     }
 
-    // Warm half. Multi-core checkpoints carry the SysWarmState
-    // layout; single-core ones the historical WarmState layout.
-    if (num_cores > 1) {
-        std::shared_ptr<SysWarmState> sys_warm;
-        if (!decodeSysWarmHalf(in, line, mem_params, bp_params,
-                               static_cast<unsigned>(num_cores),
-                               &sys_warm, why))
-            return false;
-        out->emu = std::move(emu);
-        out->warm = nullptr;
-        out->extraEmus = std::move(extra);
-        out->sysWarm = std::move(sys_warm);
-        return true;
-    }
-
-    // The file's warm-config digest must match the models we are
-    // asked to rebuild onto.
+    // Warm half: the file's warm-config digest must match the models
+    // we are asked to rebuild onto. Multi-core checkpoints carry the
+    // SysWarmState layout; single-core ones one core-warm block.
     std::uint64_t warmcfg = 0;
-    if (!next_u64("warmcfg", &warmcfg) ||
+    if (!in.next("warmcfg", warmcfg) ||
         warmcfg != warmConfigDigest(mem_params, bp_params,
-                                    static_cast<unsigned>(num_cores)))
-        return fail("warm-config digest does not match the target "
-                    "models");
-    std::uint64_t lastblk = 0;
-    if (!next_u64("lastblk", &lastblk))
-        return fail("corrupt warm half (lastblk)");
-
-    // Per-level blocks arrive in State order; each must carry the
-    // level name the target hierarchy expects, so a reordered or
-    // spliced file fails the decode instead of warming wrong levels.
-    std::vector<std::string> level_names = {mem_params.icache.name,
-                                            mem_params.dcache.name,
-                                            mem_params.l2.name};
-    for (const CacheParams &extra_level : mem_params.extraLevels)
-        level_names.push_back(extra_level.name);
-    std::uint64_t num_levels = 0;
-    if (!next_u64("levels", &num_levels) ||
-        num_levels != level_names.size())
-        return fail("cache-level count does not match the target "
-                    "geometry");
-    MemHierarchy::State mem_state;
-    mem_state.caches.resize(num_levels);
-    for (std::uint64_t i = 0; i < num_levels; ++i) {
-        if (!decodeCacheState(in, line, level_names[i],
-                              &mem_state.caches[i]))
-            return fail(strprintf("corrupt cache block ('%s')",
-                                  level_names[i].c_str()));
+                                    expected_cores))
+        return failWith(why, "warm-config digest does not match the "
+                             "target models");
+    if (expected_cores > 1) {
+        auto warm = std::make_shared<SysWarmState>(mem_params, bp_params,
+                                                   expected_cores);
+        if (!decodeSysWarm(in, *warm, why))
+            return false;
+        ckpt.sysWarm = std::move(warm);
+    } else {
+        auto warm = std::make_shared<WarmState>(mem_params, bp_params);
+        if (!decodeCoreWarm(in, &warm->lastFetchBlock, warm->mem,
+                            warm->bp, why))
+            return false;
+        ckpt.warm = std::move(warm);
     }
-
-    BranchPredState bp;
-    if (!decodeBpredState(in, line, &bp))
-        return fail("corrupt predictor block");
-
-    auto warm = std::make_shared<WarmState>(mem_params, bp_params);
-    warm->lastFetchBlock = lastblk;
-    if (!warm->mem.importState(mem_state) ||
-        !warm->bp.importState(bp))
-        return fail("warm tables do not fit the target models");
-
-    out->emu = std::move(emu);
-    out->warm = std::move(warm);
-    out->extraEmus = std::move(extra);
-    out->sysWarm = nullptr;
+    if (!in.finish())
+        return failWith(why, in.error());
+    *out = std::move(ckpt);
     return true;
 }
 
@@ -790,96 +529,33 @@ CheckpointStore::decodeOrDie(const std::string &text,
 std::string
 CheckpointStore::encodeProfile(const FuncProfile &profile)
 {
-    std::string out = ProfileTag;
-    out += '\n';
-    out += strprintf("insts %llu\n",
-                     static_cast<unsigned long long>(
-                         profile.totalInsts));
-    out += strprintf("memdigest %llu\n",
-                     static_cast<unsigned long long>(
-                         profile.memDigest));
+    std::string out;
+    putLine(out, ProfileTag);
+    putLine(out, "insts", profile.totalInsts);
+    putLine(out, "memdigest", profile.memDigest);
     return out;
 }
 
 bool
 CheckpointStore::decodeProfile(const std::string &text,
-                               FuncProfile *out)
+                               FuncProfile *out, std::string *why)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != ProfileTag)
-        return false;
+    LineReader in(text);
     FuncProfile p;
-    if (!std::getline(in, line) ||
-        !keyU64(line, "insts", &p.totalInsts))
-        return false;
-    if (!std::getline(in, line) ||
-        !keyU64(line, "memdigest", &p.memDigest))
-        return false;
+    if (!in.expectLine(ProfileTag) || !in.next("insts", p.totalInsts) ||
+        !in.next("memdigest", p.memDigest) || !in.finish())
+        return failWith(why, in.error());
     *out = p;
     return true;
 }
 
 CheckpointStore::CheckpointStore(std::string dir)
-    : dir_(std::move(dir))
+    : files_(std::move(dir), "checkpoint store")
 {
-}
-
-std::string
-CheckpointStore::checkpointPath(std::uint64_t key) const
-{
-    return dir_ + "/" + digestHex(key) + ".ckpt";
-}
-
-std::string
-CheckpointStore::profilePath(std::uint64_t key) const
-{
-    return dir_ + "/" + digestHex(key) + ".prof";
 }
 
 namespace
 {
-
-bool
-readFile(const std::string &path, std::string *out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    *out = buf.str();
-    return true;
-}
-
-void
-writeFileAtomic(const std::string &dir, const std::string &path,
-                const std::string &contents)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        warn("checkpoint store: cannot create '%s': %s", dir.c_str(),
-             ec.message().c_str());
-        return;
-    }
-    // Write-then-rename so a concurrent reader never sees a torn file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            warn("checkpoint store: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << contents;
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("checkpoint store: rename to '%s' failed: %s",
-             path.c_str(), ec.message().c_str());
-        std::filesystem::remove(tmp, ec);
-    }
-}
 
 /**
  * Whether @p ckpt can resume @p prog toward a window at @p start_inst;
@@ -943,21 +619,16 @@ CheckpointStore::lookup(const Workload &workload,
         if (it != mem_.end())
             return it->second;
     }
-    if (dir_.empty())
-        return {};
-    std::string text;
-    if (!readFile(checkpointPath(key), &text))
-        return {};
     SampleCheckpoint ckpt;
-    std::string why;
-    if (!decode(text, mem_params, bp_params, &ckpt, num_cores,
-                &why) ||
-        !resumable(ckpt, assembleWorkload(workload), start_inst,
-                   &why)) {
-        warn("checkpoint store: ignoring malformed entry %s (%s)",
-             checkpointPath(key).c_str(), why.c_str());
+    if (!files_.load(key, CheckpointExt,
+                     [&](const std::string &text, std::string *why) {
+                         return decode(text, mem_params, bp_params,
+                                       &ckpt, num_cores, why) &&
+                                resumable(ckpt,
+                                          assembleWorkload(workload),
+                                          start_inst, why);
+                     }))
         return {};
-    }
     std::lock_guard<std::mutex> lock(mu_);
     return mem_.emplace(key, std::move(ckpt)).first->second;
 }
@@ -971,16 +642,9 @@ CheckpointStore::store(const Workload &workload,
     ckpt.emu =
         std::make_shared<const EmuCheckpoint>(std::move(emu));
     ckpt.warm = std::make_shared<const WarmState>(warm);
-    const std::uint64_t key = checkpointKey(
-        workload, start_inst,
-        warmConfigDigest(warm.memParams(), warm.bpParams(), 1));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem_[key] = ckpt;
-    }
-    if (!dir_.empty())
-        writeFileAtomic(dir_, checkpointPath(key), encode(ckpt));
-    return ckpt;
+    return insert(workload, start_inst,
+                  warmConfigDigest(warm.memParams(), warm.bpParams(), 1),
+                  std::move(ckpt));
 }
 
 SampleCheckpoint
@@ -1001,16 +665,25 @@ CheckpointStore::storeMulti(const Workload &workload,
             std::make_shared<const EmuCheckpoint>(
                 std::move(emus[i])));
     ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
-    const std::uint64_t key = checkpointKey(
-        workload, start_inst,
-        warmConfigDigest(warm.memParams(), warm.bpParams(),
-                         warm.numCores()));
+    return insert(workload, start_inst,
+                  warmConfigDigest(warm.memParams(), warm.bpParams(),
+                                   warm.numCores()),
+                  std::move(ckpt));
+}
+
+SampleCheckpoint
+CheckpointStore::insert(const Workload &workload,
+                        std::uint64_t start_inst,
+                        std::uint64_t warm_digest, SampleCheckpoint ckpt)
+{
+    const std::uint64_t key =
+        checkpointKey(workload, start_inst, warm_digest);
     {
         std::lock_guard<std::mutex> lock(mu_);
         mem_[key] = ckpt;
     }
-    if (!dir_.empty())
-        writeFileAtomic(dir_, checkpointPath(key), encode(ckpt));
+    if (files_.enabled())
+        files_.store(key, CheckpointExt, encode(ckpt));
     return ckpt;
 }
 
@@ -1025,11 +698,10 @@ CheckpointStore::lookupProfile(std::uint64_t key, FuncProfile *out)
             return true;
         }
     }
-    if (dir_.empty())
-        return false;
-    std::string text;
-    if (!readFile(profilePath(key), &text) ||
-        !decodeProfile(text, out))
+    if (!files_.load(key, ProfileExt,
+                     [out](const std::string &text, std::string *why) {
+                         return decodeProfile(text, out, why);
+                     }))
         return false;
     std::lock_guard<std::mutex> lock(mu_);
     profiles_.emplace(key, *out);
@@ -1044,9 +716,8 @@ CheckpointStore::storeProfile(std::uint64_t key,
         std::lock_guard<std::mutex> lock(mu_);
         profiles_[key] = profile;
     }
-    if (!dir_.empty())
-        writeFileAtomic(dir_, profilePath(key),
-                        encodeProfile(profile));
+    if (files_.enabled())
+        files_.store(key, ProfileExt, encodeProfile(profile));
 }
 
 } // namespace reno::sample

@@ -5,14 +5,17 @@
  * -- is fully determined by (kernel source, input seed, instruction
  * position, mem+bpred parameters), so it is keyed, like simulation
  * results, by a content digest of exactly those inputs, and optionally
- * persisted one file per key under the campaign cache directory. Each
- * persisted checkpoint carries a digest of its own contents, so a
- * corrupt or stale file is detected and regenerated instead of being
- * silently restored.
+ * persisted one text file per key (<key>.ckpt, common/textfile.hpp);
+ * the sampler puts them in the ckpt/ subdirectory of --cache-dir.
+ * Each persisted checkpoint carries a digest of its own contents, and
+ * decoding is strict, so a corrupt, truncated or resealed-but-invalid
+ * file is warned about, ignored and regenerated instead of being
+ * restored.
  *
  * The store also keeps one tiny "functional profile" per (kernel,
- * seed): the program's dynamic instruction count and final memory
- * digest, which interval planning needs before any checkpoint exists.
+ * seed, core count), <key>.prof: the program's dynamic instruction
+ * count and final memory digest, which interval planning needs before
+ * any checkpoint exists.
  */
 #pragma once
 
@@ -22,6 +25,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/textfile.hpp"
 #include "emu/emulator.hpp"
 #include "sample/interval.hpp"
 #include "sample/warmup.hpp"
@@ -60,8 +64,8 @@ std::uint64_t profileKey(const Workload &workload,
 /**
  * Thread-safe store of sampled-simulation checkpoints and functional
  * profiles, in memory and (when constructed with a directory) on
- * disk, one text file per key. Mirrors sweep::ResultCache's layout
- * and write-then-rename discipline so both can share a --cache-dir.
+ * disk, one text file per key, through the same TextFileStore as
+ * sweep::ResultCache.
  */
 class CheckpointStore
 {
@@ -97,8 +101,6 @@ class CheckpointStore
     bool lookupProfile(std::uint64_t key, FuncProfile *out);
     void storeProfile(std::uint64_t key, const FuncProfile &profile);
 
-    const std::string &dir() const { return dir_; }
-
     /** Serialize / parse the checkpoint persistence format. decode()
      *  rebuilds the warm state onto models constructed from the given
      *  parameters and requires the file to snapshot exactly
@@ -124,16 +126,21 @@ class CheckpointStore
     /** Serialize / parse the profile persistence format. */
     static std::string encodeProfile(const FuncProfile &profile);
     static bool decodeProfile(const std::string &text,
-                              FuncProfile *out);
+                              FuncProfile *out,
+                              std::string *why = nullptr);
 
   private:
-    std::string checkpointPath(std::uint64_t key) const;
-    std::string profilePath(std::uint64_t key) const;
+    /** Key @p ckpt by (workload, start, warm digest) into memory and,
+     *  when persistent, disk. */
+    SampleCheckpoint insert(const Workload &workload,
+                            std::uint64_t start_inst,
+                            std::uint64_t warm_digest,
+                            SampleCheckpoint ckpt);
 
     std::mutex mu_;
     std::map<std::uint64_t, SampleCheckpoint> mem_;
     std::map<std::uint64_t, FuncProfile> profiles_;
-    std::string dir_;
+    TextFileStore files_;
 };
 
 } // namespace reno::sample

@@ -1,13 +1,5 @@
 #include "sweep/result_cache.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "common/digest.hpp"
-#include "common/log.hpp"
-
 namespace reno::sweep
 {
 
@@ -21,15 +13,13 @@ namespace
 // coherence + per-core block; older entries fail the tag check and
 // are recomputed.
 constexpr const char *FormatTag = "reno-result v4";
+constexpr const char *Ext = ".result";
 
 } // namespace
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
-
-std::string
-ResultCache::pathFor(std::uint64_t digest) const
+ResultCache::ResultCache(std::string dir)
+    : files_(std::move(dir), "result cache")
 {
-    return dir_ + "/" + digestHex(digest) + ".result";
 }
 
 bool
@@ -44,7 +34,10 @@ ResultCache::lookup(std::uint64_t digest, JobResult *out)
             return true;
         }
     }
-    if (!dir_.empty() && loadFromDisk(digest, out)) {
+    if (files_.load(digest, Ext,
+                    [out](const std::string &text, std::string *why) {
+                        return decode(text, out, why);
+                    })) {
         std::lock_guard<std::mutex> lock(mu_);
         mem_.emplace(digest, *out);
         ++diskHits_;
@@ -68,8 +61,8 @@ ResultCache::store(std::uint64_t digest, const JobResult &result)
         mem_[digest] = std::move(cached);
         ++stores_;
     }
-    if (!dir_.empty())
-        storeToDisk(digest, result);
+    if (files_.enabled())
+        files_.store(digest, Ext, encode(result));
 }
 
 double
@@ -92,110 +85,35 @@ ResultCache::size() const
 std::string
 ResultCache::encode(const JobResult &result)
 {
-    std::string out = FormatTag;
-    out += '\n';
+    std::string out;
+    putLine(out, FormatTag);
     for (const SimStatField &f : simResultFields())
-        out += strprintf("%s %llu\n", f.name,
-                         static_cast<unsigned long long>(
-                             statValue(result.sim, f)));
-    out += strprintf("hasCpa %d\n", result.hasCpa ? 1 : 0);
-    if (result.hasCpa) {
-        for (unsigned b = 0; b < NumCpBuckets; ++b)
-            out += strprintf("cpa%u %llu\n", b,
-                             static_cast<unsigned long long>(
-                                 result.cpaWeights[b]));
-    }
+        putLine(out, f.name, statValue(result.sim, f));
+    putLine(out, "hasCpa", result.hasCpa);
+    for (unsigned b = 0; result.hasCpa && b < NumCpBuckets; ++b)
+        putLine(out, "cpa" + std::to_string(b), result.cpaWeights[b]);
     return out;
 }
 
 bool
-ResultCache::decode(const std::string &text, JobResult *out)
+ResultCache::decode(const std::string &text, JobResult *out,
+                    std::string *why)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != FormatTag)
-        return false;
-
+    LineReader in(text);
     JobResult r;
-    auto expect = [&in, &line](const std::string &key,
-                               std::uint64_t *value) {
-        if (!std::getline(in, line))
-            return false;
-        const std::size_t space = line.find(' ');
-        if (space == std::string::npos ||
-            line.compare(0, space, key) != 0)
-            return false;
-        try {
-            *value = std::stoull(line.substr(space + 1));
-        } catch (...) {
-            return false;
-        }
-        return true;
-    };
-
-    for (const SimStatField &f : simResultFields()) {
-        if (!expect(f.name, &statRef(r.sim, f)))
-            return false;
-    }
-    std::uint64_t has_cpa = 0;
-    if (!expect("hasCpa", &has_cpa))
+    bool ok = in.expectLine(FormatTag);
+    for (const SimStatField &f : simResultFields())
+        ok = ok && in.next(f.name, statRef(r.sim, f));
+    ok = ok && in.next("hasCpa", r.hasCpa);
+    for (unsigned b = 0; ok && r.hasCpa && b < NumCpBuckets; ++b)
+        ok = in.next("cpa" + std::to_string(b), r.cpaWeights[b]);
+    if (!ok || !in.finish()) {
+        if (why)
+            *why = in.error();
         return false;
-    r.hasCpa = has_cpa != 0;
-    if (r.hasCpa) {
-        for (unsigned b = 0; b < NumCpBuckets; ++b) {
-            if (!expect(strprintf("cpa%u", b), &r.cpaWeights[b]))
-                return false;
-        }
     }
     *out = r;
     return true;
-}
-
-bool
-ResultCache::loadFromDisk(std::uint64_t digest, JobResult *out)
-{
-    std::ifstream in(pathFor(digest));
-    if (!in)
-        return false;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (!decode(buf.str(), out)) {
-        warn("result cache: ignoring malformed entry %s",
-             pathFor(digest).c_str());
-        return false;
-    }
-    return true;
-}
-
-void
-ResultCache::storeToDisk(std::uint64_t digest, const JobResult &result)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-        warn("result cache: cannot create '%s': %s", dir_.c_str(),
-             ec.message().c_str());
-        return;
-    }
-    // Write-then-rename so a concurrent reader never sees a torn file.
-    const std::string path = pathFor(digest);
-    const std::string tmp =
-        path + strprintf(".tmp%llu",
-                         static_cast<unsigned long long>(digest));
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            warn("result cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << encode(result);
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: rename to '%s' failed: %s", path.c_str(),
-             ec.message().c_str());
-        std::filesystem::remove(tmp, ec);
-    }
 }
 
 } // namespace reno::sweep

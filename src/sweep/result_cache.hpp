@@ -8,8 +8,10 @@
  *
  * The in-memory map is always active; when constructed with a
  * directory, every stored result is also persisted as one small text
- * file per digest, and lookups fall back to disk -- a warm directory
- * lets a repeated figure campaign skip simulation entirely.
+ * file per digest (<digest>.result, common/textfile.hpp), and lookups
+ * fall back to disk -- a warm directory lets a repeated figure
+ * campaign skip simulation entirely. A malformed file is warned
+ * about, ignored and recomputed.
  */
 #pragma once
 
@@ -18,6 +20,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/textfile.hpp"
 #include "sweep/job.hpp"
 
 namespace reno::sweep
@@ -49,22 +52,19 @@ class ResultCache
     /** lookup() hits of either kind over total lookups; 0 when idle. */
     double hitRatio() const;
     std::size_t size() const;
-    const std::string &dir() const { return dir_; }
 
     /** Serialize a result to the persistence text format. */
     static std::string encode(const JobResult &result);
 
-    /** Parse the persistence format; returns false on any mismatch. */
-    static bool decode(const std::string &text, JobResult *out);
+    /** Parse the persistence format; returns false on any mismatch
+     *  (naming it in @p why when non-null). */
+    static bool decode(const std::string &text, JobResult *out,
+                       std::string *why = nullptr);
 
   private:
-    std::string pathFor(std::uint64_t digest) const;
-    bool loadFromDisk(std::uint64_t digest, JobResult *out);
-    void storeToDisk(std::uint64_t digest, const JobResult &result);
-
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t, JobResult> mem_;
-    std::string dir_;
+    TextFileStore files_;
     std::uint64_t memoryHits_ = 0;
     std::uint64_t diskHits_ = 0;
     std::uint64_t misses_ = 0;

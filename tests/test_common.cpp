@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the common utilities: formatting, tables, RNG, bit
- * helpers, the statistics registry and strict integer parsing.
+ * helpers, the statistics registry, strict integer parsing, the
+ * strict line reader and checked text-file writes.
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <set>
 
@@ -13,6 +15,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/textfile.hpp"
 #include "common/types.hpp"
 
 using namespace reno;
@@ -191,4 +194,107 @@ TEST(ParseUnsigned, FlagValuesFailWithTheFlagAndTheRange)
     EXPECT_EXIT(parseUnsignedFlag("--n", "9", 1, 8),
                 ::testing::ExitedWithCode(1),
                 "--n expects an integer in 1\\.\\.8, got '9'");
+}
+
+TEST(ParseSigned, AcceptsOnlyCanonicalDecimalsInRange)
+{
+    EXPECT_EQ(parseSigned("0"), 0);
+    EXPECT_EQ(parseSigned("-42"), -42);
+    EXPECT_EQ(parseSigned("9223372036854775807"),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(parseSigned("-9223372036854775808"),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(parseSigned("-128", -128, 127), -128);
+    for (const char *bad : {"", "-", "-0", "+1", "1x", "-1x", " -1", "--1",
+                            "9223372036854775808",
+                            "-9223372036854775809"})
+        EXPECT_FALSE(parseSigned(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parseSigned("-129", -128, 127).has_value());
+    EXPECT_FALSE(parseSigned("128", -128, 127).has_value());
+}
+
+TEST(LineReader, ReadsExactKeysFieldsAndLists)
+{
+    LineReader in("tag v1\n"
+                  "a 1 -2 1 name\n"
+                  "regs 4 5 6\n"
+                  "list 3 9 -1 7\n"
+                  "empty \n"
+                  "bare\n");
+    std::uint32_t u = 0;
+    int i = 0;
+    bool b = false;
+    std::string_view name;
+    std::uint64_t regs[3] = {};
+    std::uint64_t count = 0;
+    std::vector<std::uint64_t> items;
+    std::string_view hex = "x";
+    EXPECT_TRUE(in.expectLine("tag v1"));
+    EXPECT_TRUE(in.next("a", u, i, b, name));
+    EXPECT_EQ(u, 1u);
+    EXPECT_EQ(i, -2);
+    EXPECT_TRUE(b);
+    EXPECT_EQ(name, "name");
+    EXPECT_TRUE(in.next("regs", std::span<std::uint64_t>(regs)));
+    EXPECT_EQ(regs[2], 6u);
+    EXPECT_TRUE(in.next("list", count, listOf<std::int64_t>(count, items)));
+    EXPECT_EQ(items, (std::vector<std::uint64_t>{9, ~0ULL, 7}));
+    EXPECT_TRUE(in.next("empty", hex));
+    EXPECT_EQ(hex, "");
+    EXPECT_TRUE(in.next("bare"));
+    EXPECT_TRUE(in.finish());
+    EXPECT_EQ(in.error(), "");
+}
+
+TEST(LineReader, RejectsEveryMalformedLine)
+{
+    const auto rejects = [](const char *text) {
+        LineReader in(text);
+        std::uint64_t n = 0;
+        std::uint32_t small = 0;
+        bool flag = false;
+        std::vector<std::uint64_t> items;
+        const bool ok = in.next("k", n, small, flag) &&
+                        in.next("l", n, listOf(n, items)) && in.finish();
+        EXPECT_FALSE(ok) << text;
+        EXPECT_NE(in.error(), "") << text;
+    };
+    rejects("k 1 2 1\nl 1 5\nextra\n");      // trailing line
+    rejects("k 1 2 1\nl 1 5");                 // unterminated line
+    rejects("k 1 2 1 0\nl 1 5\n");            // extra token
+    rejects("k 1 2\nl 1 5\n");                // missing token
+    rejects("k 1 2 2\nl 1 5\n");              // bool out of range
+    rejects("k -1 2 1\nl 1 5\n");             // negative unsigned
+    rejects("k 1x 2 1\nl 1 5\n");             // trailing junk
+    rejects("k  2 1\nl 1 5\n");               // empty token
+    rejects("k 1 4294967296 1\nl 1 5\n");     // exceeds 32 bits
+    rejects("kk 1 2 1\nl 1 5\n");             // wrong key
+    rejects("k 1 2 1\nl 2 5\n");              // short list
+    rejects("k 1 2 1\nl 1 5 6\n");            // long list
+    rejects("k 1 2 1\nl 1000000000000000000 5\n");  // huge count
+
+    LineReader in("a 1\nb 2\n");
+    std::uint64_t v = 0;
+    EXPECT_TRUE(in.next("a", v));
+    EXPECT_FALSE(in.next("c", v));
+    EXPECT_EQ(in.error(), "line 2: expected 'c'");
+}
+
+TEST(TextFile, WritesAreCheckedThroughClose)
+{
+    const std::string path = ::testing::TempDir() + "reno_textfile_test";
+    EXPECT_TRUE(writeTextFile(path, "hello\n"));
+    std::string back;
+    EXPECT_TRUE(readTextFile(path, &back));
+    EXPECT_EQ(back, "hello\n");
+    std::filesystem::remove(path);
+    EXPECT_FALSE(readTextFile(path, &back));
+
+    // A small write to a full device is buffered and only fails at
+    // fclose; a large one fails in fwrite.
+    const LogLevel old = setLogThreshold(LogLevel::Silent);
+    EXPECT_FALSE(writeTextFile("/dev/full", "x"));
+    EXPECT_FALSE(writeTextFile("/dev/full", std::string(1 << 20, 'x')));
+    EXPECT_FALSE(writeTextFile(path + "/no/such/dir", "x"));
+    setLogThreshold(old);
 }

@@ -380,6 +380,15 @@ TEST(Metrics, CampaignRecordsEngineCountersAndCacheGauges)
     registry.reset();
 }
 
+TEST(Metrics, ReportWritersFailOnAFullDevice)
+{
+    // The close of a small buffered write is where a full disk shows.
+    const LogLevel old = setLogThreshold(LogLevel::Silent);
+    EXPECT_FALSE(MetricsRegistry::instance().writeJson("/dev/full"));
+    EXPECT_FALSE(Tracer::instance().writeJson("/dev/full"));
+    setLogThreshold(old);
+}
+
 TEST(Progress, StreamsNdjsonHeartbeatsAndFinalTotals)
 {
     std::FILE *sink = std::tmpfile();

@@ -1304,10 +1304,10 @@ TEST(CheckpointRejection, CorruptPerCoreBlocksDieNamingTheCore)
 TEST(CheckpointRejection, ResealedBadFunctionalBlocksAreRecaptured)
 {
     // A checkpoint file rewritten with an impossible functional state
-    // and resealed (so the integrity digest still holds) must be
-    // ignored and recaptured, never resumed: the campaign result
-    // equals the run without any stored checkpoint. A pc outside text
-    // used to kill the window with a fatal.
+    // or an oversized table and resealed (so the integrity digest
+    // still holds) must be ignored and recaptured, never resumed: the
+    // campaign result equals the run without any stored checkpoint. A
+    // pc outside text used to kill the window with a fatal.
     const std::string dir =
         ::testing::TempDir() + "reno_ckpt_reseal_test";
     std::filesystem::remove_all(dir);
@@ -1337,14 +1337,18 @@ TEST(CheckpointRejection, ResealedBadFunctionalBlocksAreRecaptured)
     }
     ASSERT_GT(originals.size(), 2u);
 
-    // Rewrite the "<key> <n>" line of the last functional block (the
-    // highest core's) and reseal.
+    // Rewrite the first number on the "<key> ..." line of the last
+    // functional block (the highest core's) -- or, for a warm-half
+    // key, on its first line after that block -- and reseal.
     const auto rewrite = [](std::string text, const std::string &key,
                             const auto &change) {
-        const std::size_t at =
-            text.rfind("\n" + key + " ", text.find("\nwarmcfg "));
-        const std::size_t from = at + key.size() + 2;
-        const std::size_t to = text.find('\n', from);
+        const std::string needle = "\n" + key + " ";
+        const std::size_t warm = text.find("\nwarmcfg ");
+        std::size_t at = text.rfind(needle, warm);
+        if (at == std::string::npos)
+            at = text.find(needle, warm);
+        const std::size_t from = at + needle.size();
+        const std::size_t to = text.find_first_of(" \n", from);
         const std::uint64_t v = std::stoull(text.substr(from, to - from));
         text.replace(from, to - from, std::to_string(change(v)));
         return redigest(text);
@@ -1361,6 +1365,12 @@ TEST(CheckpointRejection, ResealedBadFunctionalBlocksAreRecaptured)
          [](std::uint64_t d) -> std::uint64_t { return d + 1; }},
         {"past the window", "inst",
          [](std::uint64_t n) -> std::uint64_t { return n + 1'000'000; }},
+        // An in-line length far beyond the line used to throw
+        // std::length_error or std::bad_alloc out of the decoder.
+        {"oversized predictor table", "dtab",
+         [](std::uint64_t) -> std::uint64_t {
+             return 1'000'000'000'000'000'000;
+         }},
     };
     for (const auto &m : mutations) {
         for (const auto &[path, text] : originals) {

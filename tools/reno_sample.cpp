@@ -16,6 +16,7 @@
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
+#include "common/textfile.hpp"
 #include "obs/cpireport.hpp"
 #include "obs/session.hpp"
 #include "sample/sampler.hpp"
@@ -212,12 +213,8 @@ main(int argc, char **argv)
                          "[sample] cpi: %zu of %zu runs carry stacks "
                          "(cache hits replay without profiling)\n",
                          rows.size(), sampled.runs.size());
-        const std::string doc = obs::renderSampledCpiJson(rows);
-        std::FILE *f = std::fopen(cpi_json.c_str(), "w");
-        if (!f)
-            fatal("cannot write '%s'", cpi_json.c_str());
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
+        if (!writeTextFile(cpi_json, obs::renderSampledCpiJson(rows)))
+            return 1;
     }
     return 0;
 }

@@ -13,6 +13,7 @@
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
+#include "common/textfile.hpp"
 #include "obs/cpireport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
@@ -217,18 +218,12 @@ main(int argc, char **argv)
                          "[sweep] cpi: %zu of %zu jobs carry stacks "
                          "(cache hits replay without profiling)\n",
                          rows.size(), results.size());
-        auto write_file = [](const std::string &path,
-                             const std::string &content) {
-            std::FILE *f = std::fopen(path.c_str(), "w");
-            if (!f)
-                fatal("cannot write '%s'", path.c_str());
-            std::fwrite(content.data(), 1, content.size(), f);
-            std::fclose(f);
-        };
-        if (!cpi_json.empty())
-            write_file(cpi_json, obs::renderCpiJson(rows));
-        if (!cpi_html.empty())
-            write_file(cpi_html, obs::renderCpiHtml(rows));
+        if (!cpi_json.empty() &&
+            !writeTextFile(cpi_json, obs::renderCpiJson(rows)))
+            return 1;
+        if (!cpi_html.empty() &&
+            !writeTextFile(cpi_html, obs::renderCpiHtml(rows)))
+            return 1;
     }
     return 0;
 }
