@@ -107,70 +107,10 @@ Instruction::nop()
     return ri(Opcode::ADDI, RegZero, RegZero, 0);
 }
 
-unsigned
-Instruction::numSrcs() const
+void
+Instruction::noSuchSource(unsigned i)
 {
-    switch (info().fmt) {
-      case InstFormat::R:
-        return 2;
-      case InstFormat::I:
-        return op == Opcode::LUI ? 0 : 1;
-      case InstFormat::Mem:
-        return isStore(op) ? 2 : 1;
-      case InstFormat::Branch:
-        return op == Opcode::BR ? 0 : 1;
-      case InstFormat::Jump:
-        return op == Opcode::BSR ? 0 : 1;
-      case InstFormat::None:
-        // SYSCALL reads v0 (the number) and a0 (the argument).
-        return 2;
-    }
-    return 0;
-}
-
-LogReg
-Instruction::src(unsigned i) const
-{
-    switch (info().fmt) {
-      case InstFormat::R:
-        return i == 0 ? ra : rb;
-      case InstFormat::I:
-      case InstFormat::Branch:
-      case InstFormat::Jump:
-        return ra;
-      case InstFormat::Mem:
-        // Source 0 is the address base; source 1 (stores) is the data.
-        return i == 0 ? ra : rb;
-      case InstFormat::None:
-        return i == 0 ? RegV0 : RegA0;
-    }
     panic("src(%u) on instruction with no sources", i);
-}
-
-bool
-Instruction::hasDest() const
-{
-    switch (info().fmt) {
-      case InstFormat::R:
-      case InstFormat::I:
-        return rc != RegZero;
-      case InstFormat::Mem:
-        return isLoad(op) && rc != RegZero;
-      case InstFormat::Jump:
-        return isCall(op) && rc != RegZero;
-      case InstFormat::Branch:
-        return false;
-      case InstFormat::None:
-        // SYSCALL writes its return value to v0.
-        return true;
-    }
-    return false;
-}
-
-LogReg
-Instruction::dest() const
-{
-    return info().fmt == InstFormat::None ? RegV0 : rc;
 }
 
 std::uint32_t

@@ -29,9 +29,9 @@ FetchStage::tick()
             }
         }
 
-        const ExecRecord rec = emu_.step();
         DynInst *d = s_.arena.acquire();
-        d->rec = rec;
+        d->rec = emu_.step();
+        const ExecRecord &rec = d->rec;
         d->seq = s_.seqCounter++;
         d->fetchCycle = s_.now;
         d->fetchReady = s_.now + params_.frontDepth;

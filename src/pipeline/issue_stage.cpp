@@ -5,122 +5,108 @@
 namespace reno
 {
 
-Cycle
-IssueStage::srcReadyCycle(const SrcOp &src) const
+namespace
 {
-    const Cycle ready = s_.pregReady[src.preg];
-    if (ready == InvalidCycle)
-        return InvalidCycle;
-    const Cycle issue = s_.pregIssue[src.preg];
-    if (issue == InvalidCycle)
-        return ready;
-    return std::max(ready, issue + params_.schedLoop);
+
+/** First entry of a seq-ordered view with seq >= @p seq. */
+std::deque<DynInst *>::const_iterator
+seqLowerBound(const std::deque<DynInst *> &view, InstSeq seq)
+{
+    return std::lower_bound(
+        view.begin(), view.end(), seq,
+        [](const DynInst *d, InstSeq s) { return d->seq < s; });
 }
 
-unsigned
-IssueStage::fusionExtra(const DynInst &d) const
+} // namespace
+
+const DynInst *
+IssueStage::storeSetBlocker(const DynInst &ld) const
 {
-    if (!params_.reno.cf)
-        return 0;
-    const Instruction &inst = d.inst();
-    const bool disp0 = d.ren.numSrcs > 0 && d.ren.src[0].disp != 0;
-    // A store's data displacement collapses on the dedicated store-data
-    // path adder and never delays issue.
-    const bool disp1 = d.ren.numSrcs > 1 && d.ren.src[1].disp != 0 &&
-                       !isStore(inst.op);
-    if (!disp0 && !disp1)
-        return 0;
-    if (!params_.freeAddAddFusion)
-        return 1;  // ablation: every fusion costs a cycle
-    if (inst.info().fusePenalty)
-        return 1;  // general shift or multiply/divide input adder
-    if (disp0 && disp1)
-        return 1;  // both inputs displaced: augmented ALU case
-    return 0;      // add-add fusion via 3-input carry-save adder
+    // A load whose pc maps to a store set waits until every older
+    // in-flight store of that set has issued. The blocker is the
+    // OLDEST such store: stores issue out of order, so the set's
+    // youngest store (the one the LFST names) may already be gone
+    // while older ones still wait.
+    const unsigned set = ssets_.setOf(ld.rec.pc);
+    if (set == StoreSets::InvalidSet)
+        return nullptr;
+    for (const DynInst *st : s_.robStores) {
+        if (st->seq >= ld.seq)
+            break;
+        if (!st->issued && st->storeSet == set)
+            return st;
+    }
+    return nullptr;
+}
+
+void
+IssueStage::wakeBlockedLoads(const DynInst &st)
+{
+    if (st.storeSet == StoreSets::InvalidSet)
+        return;
+    // Woken loads are younger than the store, so they land behind it
+    // in the ready list and select re-checks them this same cycle.
+    std::vector<MemWaiter> &waiters = s_.setWaiters[st.storeSet];
+    std::size_t kept = 0;
+    for (const MemWaiter &w : waiters) {
+        if (!w.load.live())
+            continue;
+        if (w.blocker == st.seq)
+            s_.readyInsert(w.load.inst);
+        else
+            waiters[kept++] = w;
+    }
+    waiters.resize(kept);
+}
+
+void
+IssueStage::requeueBlockedLoads()
+{
+    for (std::vector<MemWaiter> &waiters : s_.setWaiters) {
+        for (const MemWaiter &w : waiters) {
+            if (w.load.live())
+                s_.readyInsert(w.load.inst);
+        }
+        waiters.clear();
+    }
 }
 
 void
 IssueStage::tick()
 {
-    unsigned used_int = 0, used_ld = 0, used_st = 0, used_total = 0;
+    s_.drainCalendar();
 
-    DynInst *next = nullptr;
-    for (DynInst *cand = s_.issueHead; cand; cand = next) {
-        next = cand->issueNext;
+    unsigned used_int = 0, used_ld = 0, used_st = 0, used_total = 0;
+    for (DynInst *d = s_.readyHead; d;) {
         if (used_total >= params_.issue.total)
             break;
-        DynInst &d = *cand;
-        // List membership guarantees renamed, unissued, uncollapsed,
-        // non-syscall.
-        const Instruction &inst = d.inst();
-        const InstClass cls = inst.info().cls;
-
-        const bool is_ld = cls == InstClass::Load;
-        const bool is_st = cls == InstClass::Store;
-        if (is_ld && used_ld >= params_.issue.loads)
+        // The width test comes before the store-set test: a load is
+        // marked MemDep only on cycles when load width remained.
+        const bool is_ld = d->cls == InstClass::Load;
+        const bool is_st = d->cls == InstClass::Store;
+        if ((is_ld && used_ld >= params_.issue.loads) ||
+            (is_st && used_st >= params_.issue.stores) ||
+            (!is_ld && !is_st && used_int >= params_.issue.intOps)) {
+            d = d->readyNext;
             continue;
-        if (is_st && used_st >= params_.issue.stores)
-            continue;
-        if (!is_ld && !is_st && used_int >= params_.issue.intOps)
-            continue;
-
-        // Readiness: dispatch pipe, then each source's producer.
-        Cycle earliest = d.readyEarliest;
-        IssueDom dom = IssueDom::Dispatch;
-        InstSeq dom_seq = 0;
-        bool ready = true;
-        for (unsigned s = 0; s < d.ren.numSrcs; ++s) {
-            const Cycle t = srcReadyCycle(d.ren.src[s]);
-            if (t == InvalidCycle) {
-                ready = false;
-                break;
-            }
-            if (t > earliest) {
-                earliest = t;
-                dom = s == 0 ? IssueDom::Src0 : IssueDom::Src1;
-                dom_seq = s_.pregProducer[d.ren.src[s].preg];
-            }
         }
-        if (!ready || earliest > s_.now)
-            continue;
 
         // Aggressive load scheduling, gated by the store-set predictor:
-        // a load whose pc maps to a store set waits until every older
-        // in-flight store of that set has issued (the LFST chains
-        // same-set stores, so tracking the youngest is equivalent).
+        // a blocked load leaves the ready list until its blocker
+        // issues.
         if (is_ld) {
-            const unsigned set = ssets_.setOf(d.rec.pc);
-            if (set != StoreSets::InvalidSet) {
-                bool blocked = false;
-                InstSeq blocker = 0;
-                for (const DynInst *st : s_.robStores) {
-                    if (st->seq >= d.seq)
-                        break;
-                    if (!st->issued && st->storeSet == set) {
-                        blocked = true;
-                        blocker = st->seq;
-                        break;
-                    }
-                }
-                if (blocked) {
-                    d.issueDom = IssueDom::MemDep;
-                    d.domProducer = blocker;
-                    continue;
-                }
+            if (const DynInst *st = storeSetBlocker(*d)) {
+                d->issueDom = IssueDom::MemDep;
+                d->domProducer = st->seq;
+                DynInst *next = d->readyNext;
+                s_.readyRemove(d);
+                s_.setWaiters[st->storeSet].push_back(
+                    MemWaiter{SchedRef{d, d->renameSerial}, st->seq});
+                d = next;
+                continue;
             }
         }
 
-        // Issue.
-        d.issued = true;
-        d.issueCycle = s_.now;
-        d.issueDom = s_.now > earliest ? IssueDom::Contention : dom;
-        if (d.issueDom != IssueDom::Contention)
-            d.domProducer = dom_seq;
-        if (d.inIq) {
-            d.inIq = false;
-            --s_.iqCount;
-        }
-        s_.issueListRemove(&d);
         ++used_total;
         if (is_ld)
             ++used_ld;
@@ -128,84 +114,111 @@ IssueStage::tick()
             ++used_st;
         else
             ++used_int;
+        // Issuing can wake loads into the list behind d; resume from
+        // d's predecessor so select reaches them this cycle.
+        DynInst *prev = d->readyPrev;
+        s_.readyRemove(d);
+        if (issue(*d))
+            return;  // violation squash: lists invalidated
+        d = prev ? prev->readyNext : s_.readyHead;
+    }
+}
 
-        const unsigned extra = fusionExtra(d);
+bool
+IssueStage::issue(DynInst &d)
+{
+    d.issued = true;
+    d.issueCycle = s_.now;
+    d.issueDom =
+        s_.now > d.readyCycle ? IssueDom::Contention : d.readyDom;
+    if (d.issueDom != IssueDom::Contention)
+        d.domProducer = d.readyProducer;
+    if (d.inIq) {
+        d.inIq = false;
+        --s_.iqCount;
+    }
 
-        if (is_ld) {
-            const Cycle agen = s_.now + 1 + extra;
-            // Store-to-load forwarding / violation arming: find the
-            // youngest older overlapping store.
-            const DynInst *fwd = nullptr;
-            for (const DynInst *st : s_.robStores) {
-                if (st->seq >= d.seq)
-                    break;
-                if (st->memOverlaps(d))
-                    fwd = st;
+    if (d.cls == InstClass::Load) {
+        const Cycle agen = s_.now + 1 + d.fuseExtra;
+        // Store-to-load forwarding / violation arming: find the
+        // youngest older overlapping store, searching back from the
+        // load's position.
+        const DynInst *fwd = nullptr;
+        for (auto it = seqLowerBound(s_.robStores, d.seq);
+             it != s_.robStores.begin();) {
+            const DynInst *st = *--it;
+            if (st->memOverlaps(d)) {
+                fwd = st;
+                break;
             }
-            if (fwd && fwd->issued) {
-                d.memLevel = MemHitLevel::Forwarded;
-                d.completeCycle =
-                    std::max(agen, fwd->completeCycle) +
-                    params_.mem.dcache.latency;
-            } else {
-                // No forwarding source (or an unissued older store: the
-                // aggressive issue proceeds and the store's execution
-                // will catch the violation).
-                if (mem_.dcacheProbe(d.rec.effAddr))
-                    d.memLevel = MemHitLevel::L1;
-                else if (mem_.sharedProbe(d.rec.effAddr))
-                    // Any shared-level hit (L2, or an L3 in the deep
-                    // configs) classifies as an on-chip cache hit for
-                    // critical-path bucketing, not a memory access.
-                    d.memLevel = MemHitLevel::L2;
-                else
-                    d.memLevel = MemHitLevel::Memory;
-                d.completeCycle =
-                    mem_.dataAccess(d.rec.effAddr, agen, false);
-                d.cohDelayed = mem_.lastCohPenalty() > 0;
-            }
-        } else if (is_st) {
-            // Address generation; data merges on the store-data path.
-            d.completeCycle = s_.now + 1 + extra;
-            ssets_.storeInactive(d.storeSet, d.seq);
+        }
+        if (fwd && fwd->issued) {
+            d.memLevel = MemHitLevel::Forwarded;
+            d.completeCycle =
+                std::max(agen, fwd->completeCycle) +
+                params_.mem.dcache.latency;
         } else {
-            d.completeCycle = s_.now + inst.info().latency + extra;
+            // No forwarding source (or an unissued older store: the
+            // aggressive issue proceeds and the store's execution
+            // will catch the violation).
+            if (mem_.dcacheProbe(d.rec.effAddr))
+                d.memLevel = MemHitLevel::L1;
+            else if (mem_.sharedProbe(d.rec.effAddr))
+                // Any shared-level hit (L2, or an L3 in the deep
+                // configs) classifies as an on-chip cache hit for
+                // critical-path bucketing, not a memory access.
+                d.memLevel = MemHitLevel::L2;
+            else
+                d.memLevel = MemHitLevel::Memory;
+            d.completeCycle = mem_.dataAccess(d.rec.effAddr, agen, false);
+            d.cohDelayed = mem_.lastCohPenalty() > 0;
         }
+    } else if (d.cls == InstClass::Store) {
+        // Address generation; data merges on the store-data path.
+        d.completeCycle = s_.now + 1 + d.fuseExtra;
+        ssets_.storeInactive(d.storeSet, d.seq);
+    } else {
+        d.completeCycle = s_.now + d.latency + d.fuseExtra;
+    }
 
-        if (d.ren.hasDest) {
-            s_.pregReady[d.ren.destPreg] = d.completeCycle;
-            s_.pregIssue[d.ren.destPreg] = d.issueCycle;
-        }
+    if (d.ren.hasDest) {
+        s_.pregReady[d.ren.destPreg] = d.completeCycle;
+        s_.pregIssue[d.ren.destPreg] = d.issueCycle;
+        s_.wakeWaiters(d.ren.destPreg);
+    }
 
-        // Resolve a fetch-blocking mispredicted branch.
-        if (d.stallsFetch) {
-            d.stallsFetch = false;
-            --s_.fetchBlocked;
-            s_.fetchResumeAt = std::max(
-                s_.fetchResumeAt,
-                d.completeCycle + params_.branchResolveExtra);
-            s_.pendingRedirectSeq = d.seq;
-            s_.fetchWait = FetchWait::Redirect;
-        }
+    // Resolve a fetch-blocking mispredicted branch.
+    if (d.stallsFetch) {
+        d.stallsFetch = false;
+        --s_.fetchBlocked;
+        s_.fetchResumeAt = std::max(
+            s_.fetchResumeAt, d.completeCycle + params_.branchResolveExtra);
+        s_.pendingRedirectSeq = d.seq;
+        s_.fetchWait = FetchWait::Redirect;
+    }
 
-        // A store's execution exposes memory-order violations: any
-        // younger overlapping load that already issued read stale data.
-        if (is_st) {
-            for (DynInst *lp : s_.robLoads) {
-                if (lp->seq <= d.seq)
-                    continue;
-                DynInst &ld = *lp;
-                if (ld.issued && !ld.ren.eliminated() &&
-                    ld.memOverlaps(d)) {
-                    ssets_.trainViolation(ld.rec.pc, d.rec.pc);
-                    ++stats_.violationSquashes;
-                    s_.squashFrom(s_.robIndexOf(ld.seq), s_.now + 1,
-                                  renamer_, ssets_, params_);
-                    return;  // lists invalidated; end issue stage
-                }
-            }
+    if (d.cls != InstClass::Store)
+        return false;
+    wakeBlockedLoads(d);
+
+    // A store's execution exposes memory-order violations: any
+    // younger overlapping load that already issued read stale data.
+    // The oldest such load is squashed.
+    for (auto it = seqLowerBound(s_.robLoads, d.seq + 1);
+         it != s_.robLoads.end(); ++it) {
+        DynInst &ld = **it;
+        if (ld.issued && !ld.ren.eliminated() && ld.memOverlaps(d)) {
+            ssets_.trainViolation(ld.rec.pc, d.rec.pc);
+            // Training can remap any load's store set: re-check every
+            // blocked load from the ready list next cycle.
+            requeueBlockedLoads();
+            ++stats_.violationSquashes;
+            s_.squashFrom(s_.robIndexOf(ld.seq), s_.now + 1, renamer_,
+                          ssets_, params_);
+            return true;
         }
     }
+    return false;
 }
 
 } // namespace reno

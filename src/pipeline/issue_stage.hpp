@@ -8,11 +8,13 @@
  * stores execute -- squashing and replaying the offending load and
  * everything younger.
  *
- * The selection loop walks the issue-candidate list (renamed,
- * unissued, uncollapsed instructions in program order) and the memory
- * scans walk robStores/robLoads; both are order-preserving subsets of
- * the ROB, so the stage behaves exactly like a full ROB scan at a
- * fraction of the cost.
+ * Scheduling is event-driven (see machine_state.hpp): select walks
+ * only the ready list, which the ready calendar feeds at the start of
+ * each cycle. Issuing an instruction wakes its destination's waiters
+ * into the calendar; issuing a store wakes the loads the store-set
+ * predictor held behind it straight into the ready list, so they are
+ * re-checked in the same cycle. The memory scans walk
+ * robStores/robLoads, order-preserving subsets of the ROB.
  */
 #pragma once
 
@@ -40,11 +42,20 @@ class IssueStage
     void tick();
 
   private:
-    /** Source-operand ready cycle honoring the scheduling loop. */
-    Cycle srcReadyCycle(const SrcOp &src) const;
+    /** Execute @p d (already off the ready list); true when a
+     *  memory-order violation squashed, which ends the stage. */
+    bool issue(DynInst &d);
 
-    /** Extra fused-operation latency for deferred displacements. */
-    unsigned fusionExtra(const DynInst &d) const;
+    /** The oldest older unissued store of @p ld's store set now, or
+     *  null when the predictor lets the load go. */
+    const DynInst *storeSetBlocker(const DynInst &ld) const;
+
+    /** Move the loads blocked behind store @p st to the ready list. */
+    void wakeBlockedLoads(const DynInst &st);
+
+    /** Move every blocked load to the ready list (store sets were
+     *  retrained, so each must be re-checked). */
+    void requeueBlockedLoads();
 
     const CoreParams &params_;
     MemHierarchy &mem_;

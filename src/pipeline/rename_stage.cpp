@@ -3,6 +3,28 @@
 namespace reno
 {
 
+unsigned
+RenameStage::fusionExtra(const DynInst &d) const
+{
+    if (!params_.reno.cf)
+        return 0;
+    const Instruction &inst = d.inst();
+    const bool disp0 = d.ren.numSrcs > 0 && d.ren.src[0].disp != 0;
+    // A store's data displacement collapses on the dedicated store-data
+    // path adder and never delays issue.
+    const bool disp1 = d.ren.numSrcs > 1 && d.ren.src[1].disp != 0 &&
+                       !isStore(inst.op);
+    if (!disp0 && !disp1)
+        return 0;
+    if (!params_.freeAddAddFusion)
+        return 1;  // ablation: every fusion costs a cycle
+    if (inst.info().fusePenalty)
+        return 1;  // general shift or multiply/divide input adder
+    if (disp0 && disp1)
+        return 1;  // both inputs displaced: augmented ALU case
+    return 0;      // add-add fusion via 3-input carry-save adder
+}
+
 void
 RenameStage::tick()
 {
@@ -52,6 +74,11 @@ RenameStage::tick()
         d.renamed = true;
         d.renameCycle = s_.now;
         d.readyEarliest = s_.now + params_.renameDepth;
+        const OpInfo &info = inst.info();
+        d.cls = info.cls;
+        d.latency = static_cast<std::uint8_t>(info.latency);
+        d.memSize = static_cast<std::uint8_t>(info.memSize);
+        d.fuseExtra = static_cast<std::uint8_t>(fusionExtra(d));
 
         if (sys) {
             d.completeCycle = d.readyEarliest;
@@ -82,7 +109,7 @@ RenameStage::tick()
                 s_.pregIssue[d.ren.destPreg] = InvalidCycle;
                 s_.pregProducer[d.ren.destPreg] = d.seq;
             }
-            s_.issueListAppend(&d);
+            s_.dispatch(d);
         }
 
         if (d.isLoadInst())

@@ -3,9 +3,11 @@
  * Rename stage: moves fetched instructions into the ROB through the
  * RENO renamer, enforcing structural limits (ROB, issue queue,
  * load/store queues, free physical registers) and attributing every
- * stalled cycle to the resource that caused it. Collapsed
- * instructions bypass the issue queue entirely; syscalls serialize
- * the pipeline.
+ * stalled cycle to the resource that caused it. Each renamed
+ * instruction is decoded once (class, latency, access size, fusion
+ * cost) and issue-queue instructions are handed to the event-driven
+ * scheduler. Collapsed instructions bypass the issue queue entirely;
+ * syscalls serialize the pipeline.
  */
 #pragma once
 
@@ -32,6 +34,9 @@ class RenameStage
     void tick();
 
   private:
+    /** Extra fused-operation latency for deferred displacements. */
+    unsigned fusionExtra(const DynInst &d) const;
+
     const CoreParams &params_;
     RenoRenamer &renamer_;
     StoreSets &ssets_;

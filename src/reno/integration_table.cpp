@@ -1,5 +1,7 @@
 #include "reno/integration_table.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace reno
@@ -12,7 +14,14 @@ IntegrationTable::IntegrationTable(const ItParams &params)
         fatal("integration table: entries must be a multiple of assoc");
     numSets_ = params_.entries / params_.assoc;
     slots_.resize(params_.entries);
-    pregSlots_.resize(65536);
+}
+
+void
+IntegrationTable::attachRegFile(PhysRegFile *prf)
+{
+    prf_ = prf;
+    pregSlots_.assign(prf->numPregs(), {});
+    outPins_.assign(prf->numPregs(), {});
 }
 
 unsigned
@@ -66,8 +75,11 @@ IntegrationTable::trackPregs(ItSlot slot, const ItEntry &tuple)
     // Only inputs: the output register cannot be freed while the
     // entry holds a reference to it.
     auto track = [&](PhysReg p) {
-        if (p != InvalidPhysReg && p < pregSlots_.size())
-            pregSlots_[p].push_back(slot);
+        if (p == InvalidPhysReg)
+            return;
+        if (p >= pregSlots_.size())
+            pregSlots_.resize(p + 1);  // no file attached: grow on use
+        pregSlots_[p].push_back(slot);
     };
     track(tuple.in1.preg);
     track(tuple.in2.preg);
@@ -81,8 +93,12 @@ IntegrationTable::release(ItSlot slot)
         return;
     e.valid = false;
     ++invalidations_;
-    if (prf_ && e.out.preg != InvalidPhysReg)
+    if (prf_ && e.out.preg != InvalidPhysReg) {
+        std::vector<ItSlot> &pins = outPins_[e.out.preg];
+        *std::find(pins.begin(), pins.end(), slot) = pins.back();
+        pins.pop_back();
         prf_->decRef(e.out.preg);
+    }
 }
 
 ItSlot
@@ -120,8 +136,10 @@ IntegrationTable::insert(const ItEntry &tuple)
         }
     }
     release(victim);  // drop any evicted entry's reference
-    if (prf_ && tuple.out.preg != InvalidPhysReg)
+    if (prf_ && tuple.out.preg != InvalidPhysReg) {
         prf_->incRef(tuple.out.preg);
+        outPins_[tuple.out.preg].push_back(victim);
+    }
     slots_[victim] = tuple;
     slots_[victim].valid = true;
     slots_[victim].lruStamp = ++lruClock_;
@@ -155,7 +173,7 @@ IntegrationTable::invalidatePreg(PhysReg preg)
 bool
 IntegrationTable::reclaimLru()
 {
-    if (!prf_)
+    if (!prf_ || reclaimFailedAt_ == prf_->decRefs())
         return false;
     // A register is reclaimable when the table holds ALL of its
     // references (it is neither architecturally mapped nor in flight).
@@ -163,31 +181,26 @@ IntegrationTable::reclaimLru()
     // a reverse entry), so compare against the per-register pin count,
     // not against 1 -- and release every pinning entry so the register
     // actually returns to the free pool.
-    std::vector<unsigned> pins(prf_->numPregs(), 0);
-    for (const ItEntry &e : slots_) {
-        if (e.valid && e.out.preg != InvalidPhysReg)
-            ++pins[e.out.preg];
-    }
     ItSlot victim = InvalidItSlot;
-    for (ItSlot slot = 0; slot < slots_.size(); ++slot) {
-        const ItEntry &e = slots_[slot];
-        if (!e.valid || e.out.preg == InvalidPhysReg)
-            continue;
-        if (prf_->refCount(e.out.preg) != pins[e.out.preg])
+    for (PhysReg p = 0; p < outPins_.size(); ++p) {
+        const std::vector<ItSlot> &pins = outPins_[p];
+        if (pins.empty() || prf_->refCount(p) != pins.size())
             continue;  // still architecturally mapped or in flight
-        if (victim == InvalidItSlot ||
-            e.lruStamp < slots_[victim].lruStamp) {
-            victim = slot;
+        for (const ItSlot slot : pins) {
+            if (victim == InvalidItSlot ||
+                slots_[slot].lruStamp < slots_[victim].lruStamp)
+                victim = slot;
         }
     }
-    if (victim == InvalidItSlot)
+    if (victim == InvalidItSlot) {
+        reclaimFailedAt_ = prf_->decRefs();
         return false;
-    const PhysReg target = slots_[victim].out.preg;
-    for (ItSlot slot = 0; slot < slots_.size(); ++slot) {
-        const ItEntry &e = slots_[slot];
-        if (e.valid && e.out.preg == target)
-            release(slot);
     }
+    // Release order does not matter: the register is freed (and its
+    // input uses invalidated) only when its last pin goes.
+    std::vector<ItSlot> &pins = outPins_[slots_[victim].out.preg];
+    while (!pins.empty())
+        release(pins.back());
     return true;
 }
 

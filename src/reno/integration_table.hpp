@@ -77,9 +77,10 @@ class IntegrationTable
 
     /**
      * Attach the physical register file whose reference counts this
-     * table participates in. Must be called before any insert().
+     * table participates in, sizing the per-register bookkeeping to
+     * it. Must be called before any insert().
      */
-    void attachRegFile(PhysRegFile *prf) { prf_ = prf; }
+    void attachRegFile(PhysRegFile *prf);
 
     /**
      * Look up a tuple matching (@p op, @p imm, @p in1, @p in2).
@@ -90,6 +91,9 @@ class IntegrationTable
 
     /** Entry at @p slot (must be valid). */
     const ItEntry &entry(ItSlot slot) const;
+
+    /** Does @p slot hold a valid tuple? */
+    bool valid(ItSlot slot) const { return slots_.at(slot).valid; }
 
     /**
      * Insert a tuple, evicting LRU within the set. Counts one table
@@ -108,6 +112,13 @@ class IntegrationTable
      * Free-pool pressure relief: invalidate the least-recently-used
      * entry whose output register is held only by this table, freeing
      * that register. Returns true if a register was freed.
+     *
+     * A failed search is remembered until some register reference
+     * drops (PhysRegFile::decRefs): a register becomes reclaimable
+     * only when a reference other than a pin goes away, since
+     * insert() adds a pin and a reference together. The renamer
+     * retries every cycle it is stalled on registers, so the memo
+     * spares it a table scan per stalled cycle.
      */
     bool reclaimLru();
 
@@ -139,6 +150,12 @@ class IntegrationTable
 
     /** preg -> slots that may reference it (lazily cleaned). */
     std::vector<std::vector<ItSlot>> pregSlots_;
+    /** preg -> the valid entries whose output it is ("output pins"),
+     *  each holding one of its references. Kept while a file is
+     *  attached. */
+    std::vector<std::vector<ItSlot>> outPins_;
+    /** decRefs() generation of the last failed reclaim search. */
+    std::uint64_t reclaimFailedAt_ = ~std::uint64_t{0};
 
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;

@@ -51,6 +51,7 @@ PhysRegFile::decRef(PhysReg preg)
 {
     if (counts_.at(preg) == 0)
         panic("decRef on free preg %u", static_cast<unsigned>(preg));
+    ++decRefs_;
     if (--counts_[preg] == 0) {
         ++numFree_;
         freeQueue_.push_back(preg);

@@ -56,6 +56,10 @@ class PhysRegFile
 
     unsigned refCount(PhysReg preg) const { return counts_.at(preg); }
 
+    /** Number of decRef() calls so far: a generation that advances
+     *  whenever any reference drops. */
+    std::uint64_t decRefs() const { return decRefs_; }
+
     /** Sum of all reference counts (tested conservation invariant). */
     std::uint64_t totalRefs() const;
 
@@ -74,6 +78,7 @@ class PhysRegFile
     std::vector<PhysReg> freeQueue_;   //!< FIFO recycling order
     size_t freeHead_ = 0;
     unsigned numFree_;
+    std::uint64_t decRefs_ = 0;
     std::function<void(PhysReg)> onFree_;
 };
 

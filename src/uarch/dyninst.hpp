@@ -4,6 +4,13 @@
  * A DynInst is created at fetch from the functional emulator's
  * ExecRecord (oracle values) and lives until retirement; on a squash
  * it is recycled into the fetch buffer for replay.
+ *
+ * Rename decodes the instruction once (class, latency, access size,
+ * fused-operation cost) so no later stage consults the opcode table,
+ * and hands it to the event-driven scheduler (MachineState): the
+ * scheduling fields below record how many source producers it still
+ * waits for, the cycle it becomes ready once they have all issued,
+ * and its place in the ready list.
  */
 #pragma once
 
@@ -58,6 +65,26 @@ struct DynInst {
     bool inSq = false;
     unsigned storeSet = ~0U;     //!< store-set id for stores
 
+    // --- decoded once at rename ------------------------------------------
+    InstClass cls = InstClass::IntAlu;
+    std::uint8_t latency = 0;    //!< execute latency (loads: agen only)
+    std::uint8_t memSize = 0;    //!< access bytes for loads/stores
+    std::uint8_t fuseExtra = 0;  //!< RENO_CF fused-operation cycles
+
+    // --- scheduler state (MachineState's wakeup/select structures) -------
+    /** Serial of the rename that made the current scheduler entries;
+     *  0 until dispatched to the scheduler. Waiter and calendar
+     *  entries carry it and are dropped when it no longer matches: a
+     *  squashed instruction replays under its old seq, and the arena
+     *  recycles slots. */
+    std::uint64_t renameSerial = 0;
+    unsigned pendingSrcs = 0;    //!< sources whose producer has not issued
+    /** Issue-ready cycle, set once every source's producer has issued:
+     *  max(readyEarliest, each source's ready cycle). */
+    Cycle readyCycle = InvalidCycle;
+    IssueDom readyDom = IssueDom::Dispatch;  //!< what set readyCycle
+    InstSeq readyProducer = 0;               //!< ... and its producer
+
     // --- execute state --------------------------------------------------
     bool issued = false;
     Cycle issueCycle = InvalidCycle;
@@ -72,12 +99,12 @@ struct DynInst {
     CommitDom commitDom = CommitDom::SelfComplete;
 
     // --- pipeline linkage -----------------------------------------------
-    /** Intrusive issue-candidate list (MachineState::issueHead):
-     *  renamed, not yet issued, not collapsed, not a syscall. The
-     *  issue stage walks only these instead of the whole ROB. */
-    DynInst *issuePrev = nullptr;
-    DynInst *issueNext = nullptr;
-    bool inIssueList = false;
+    /** Intrusive ready list (MachineState::readyHead), in seq order:
+     *  instructions whose readyCycle has come and that have not
+     *  issued. The issue stage selects from these only. */
+    DynInst *readyPrev = nullptr;
+    DynInst *readyNext = nullptr;
+    bool inReadyList = false;
 
     const Instruction &inst() const { return rec.inst; }
     bool isLoadInst() const { return isLoad(rec.inst.op); }
@@ -89,14 +116,15 @@ struct DynInst {
         return completeCycle != InvalidCycle && completeCycle <= now;
     }
 
-    /** Does [effAddr, effAddr+size) overlap @p other's access? */
+    /** Does [effAddr, effAddr+size) overlap @p other's access? Both
+     *  instructions must have been renamed (memSize is decoded then). */
     bool
     memOverlaps(const DynInst &other) const
     {
         const Addr a0 = rec.effAddr;
-        const Addr a1 = a0 + inst().info().memSize;
+        const Addr a1 = a0 + memSize;
         const Addr b0 = other.rec.effAddr;
-        const Addr b1 = b0 + other.inst().info().memSize;
+        const Addr b1 = b0 + other.memSize;
         return a0 < b1 && b0 < a1;
     }
 
@@ -104,15 +132,21 @@ struct DynInst {
      * Reset timing state for replay after a squash (also applied by
      * InstArena::acquire before reuse). The identity fields -- rec,
      * seq and the fetch-cycle group -- are left for the caller: a
-     * squash keeps them, a fresh fetch overwrites them. The caller
-     * must have unlinked the instruction from the issue-candidate
-     * list first; the linkage is cleared, not unlinked, here.
+     * squash keeps them, a fresh fetch overwrites them; the decoded
+     * group is rewritten by the next rename. The caller must have
+     * unlinked the instruction from the ready list first; the linkage
+     * is cleared, not unlinked, here.
      */
     void
     resetForReplay()
     {
-        issuePrev = issueNext = nullptr;
-        inIssueList = false;
+        readyPrev = readyNext = nullptr;
+        inReadyList = false;
+        renameSerial = 0;
+        pendingSrcs = 0;
+        readyCycle = InvalidCycle;
+        readyDom = IssueDom::Dispatch;
+        readyProducer = 0;
         mispredicted = false;
         stallsFetch = false;
         redirectFrom = 0;

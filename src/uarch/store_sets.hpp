@@ -4,7 +4,11 @@
  * the paper ("loads are scheduled aggressively using a 64-entry store
  * sets predictor"). The SSIT maps instruction pcs to store-set ids;
  * the LFST tracks the last in-flight store of each set. A load whose
- * set has an un-issued older store in flight waits for it.
+ * set has an un-issued older store in flight waits for the oldest
+ * such store (IssueStage finds it in program order). The LFST alone
+ * cannot name that store: stores issue out of order, and
+ * storeInactive clears the entry when the set's youngest store issues
+ * while older ones still wait.
  */
 #pragma once
 

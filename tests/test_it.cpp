@@ -3,10 +3,14 @@
  * Integration table tests: tuple matching on every key field,
  * signature replacement, LRU eviction, reverse entries, input-preg
  * invalidation, output-register reference holding, and LRU reclaim
- * under register pressure.
+ * under register pressure -- including a randomized check of reclaim
+ * against a brute-force recount of the table.
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "reno/integration_table.hpp"
 #include "reno/physregs.hpp"
 
@@ -284,4 +288,122 @@ TEST(It, RejectsBadGeometry)
 {
     EXPECT_EXIT((IntegrationTable{ItParams{3, 2}}),
                 ::testing::ExitedWithCode(1), "multiple");
+}
+
+namespace
+{
+
+/** Valid entries whose output is @p preg, recounted slot by slot. */
+unsigned
+recountPins(const IntegrationTable &it, PhysReg preg)
+{
+    unsigned pins = 0;
+    for (ItSlot slot = 0; slot < it.numEntries(); ++slot) {
+        if (it.valid(slot) && it.entry(slot).out.preg == preg)
+            ++pins;
+    }
+    return pins;
+}
+
+} // namespace
+
+TEST(It, ReclaimMatchesBruteForceOnRandomSequences)
+{
+    // Random inserts, lookups, outside references and reclaims, wired
+    // like the renamer (a freed register invalidates its input uses).
+    // Before every reclaim, a brute-force recount names the register
+    // that must go (the least-recently-used entry whose register the
+    // table alone holds); after every step each register's count must
+    // equal its outside references plus the table's pins.
+    constexpr unsigned NumPregs = 24;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        PhysRegFile prf(NumPregs);
+        IntegrationTable it(ItParams{16, 2});
+        prf.setOnFree([&it](PhysReg p) { it.invalidatePreg(p); });
+        it.attachRegFile(&prf);
+        std::vector<unsigned> outside(NumPregs, 0);
+        Rng rng(seed);
+
+        // A register the table, the outside or both hold; with
+        // @p outside_only, one the outside holds (as the renaming
+        // instruction holds the output of the tuple it inserts).
+        auto pick = [&](bool outside_only, PhysReg *out) {
+            std::vector<PhysReg> held;
+            for (PhysReg r = 0; r < NumPregs; ++r) {
+                if (outside_only ? outside[r] > 0 : prf.refCount(r) > 0)
+                    held.push_back(r);
+            }
+            if (held.empty())
+                return false;
+            *out = held[rng.below(held.size())];
+            return true;
+        };
+
+        for (unsigned step = 0; step < 2000; ++step) {
+            PhysReg p = 0, q = 0;
+            switch (rng.below(6)) {
+              case 0:
+                if (prf.hasFree())
+                    ++outside[prf.alloc()];
+                break;
+              case 1:
+                if (pick(false, &p)) {
+                    prf.incRef(p);
+                    ++outside[p];
+                }
+                break;
+              case 2:
+                if (pick(true, &p)) {
+                    --outside[p];
+                    prf.decRef(p);
+                }
+                break;
+              case 3:
+                if (pick(true, &p) && pick(false, &q)) {
+                    it.insert(loadTuple(
+                        q, 0, static_cast<std::int32_t>(rng.below(4)),
+                        p, rng.chance(50)));
+                }
+                break;
+              case 4:
+                if (pick(false, &q)) {
+                    it.lookup(Opcode::LDQ,
+                              static_cast<std::int32_t>(rng.below(4)),
+                              MapEntry{q, 0}, MapEntry{});
+                }
+                break;
+              case 5: {
+                ItSlot victim = InvalidItSlot;
+                for (ItSlot slot = 0; slot < it.numEntries(); ++slot) {
+                    if (!it.valid(slot))
+                        continue;
+                    const ItEntry &e = it.entry(slot);
+                    if (prf.refCount(e.out.preg) !=
+                        recountPins(it, e.out.preg))
+                        continue;
+                    if (victim == InvalidItSlot ||
+                        e.lruStamp < it.entry(victim).lruStamp)
+                        victim = slot;
+                }
+                const PhysReg target = victim == InvalidItSlot
+                    ? InvalidPhysReg : it.entry(victim).out.preg;
+                const bool freed = it.reclaimLru();
+                ASSERT_EQ(freed, victim != InvalidItSlot)
+                    << "seed " << seed << " step " << step;
+                if (freed) {
+                    // The brute-force victim's register went, with
+                    // every pin on it.
+                    EXPECT_FALSE(it.valid(victim));
+                    EXPECT_EQ(prf.refCount(target), 0u);
+                    EXPECT_EQ(recountPins(it, target), 0u);
+                }
+                break;
+              }
+            }
+            for (PhysReg r = 0; r < NumPregs; ++r) {
+                ASSERT_EQ(prf.refCount(r), outside[r] + recountPins(it, r))
+                    << "seed " << seed << " step " << step << " p" << r;
+            }
+        }
+    }
 }

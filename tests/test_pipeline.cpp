@@ -4,19 +4,35 @@
  * vectors against the pre-refactor monolithic core (squash/replay
  * included) on both a bare Core and the harness's 1-core System,
  * stall-counter attribution per back-pressured resource,
- * StatSet snapshot/delta algebra as used by the sampling windows, and
- * instruction-arena recycling.
+ * StatSet snapshot/delta algebra as used by the sampling windows,
+ * instruction-arena recycling, and a frozen schedule digest: every
+ * retired instruction's rename/issue/complete/retire cycles and
+ * critical-path attribution over every suite, plus every counter and
+ * CPI stack of the multi suite on four cores.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "asm/assembler.hpp"
+#include "common/digest.hpp"
+#include "common/log.hpp"
 #include "common/statset.hpp"
 #include "sample/interval.hpp"
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
+#include "obs/cpistack.hpp"
+#include "sweep/thread_pool.hpp"
+#include "sys/system.hpp"
 #include "uarch/core.hpp"
+#include "uarch/dyninst.hpp"
+#include "uarch/retire_listener.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace reno;
 
@@ -518,7 +534,7 @@ TEST(PipelineArena, AcquireReturnsResetSlots)
     ASSERT_EQ(a, b) << "LIFO recycling should hand back the same slot";
     EXPECT_FALSE(b->renamed);
     EXPECT_FALSE(b->issued);
-    EXPECT_FALSE(b->inIssueList);
+    EXPECT_FALSE(b->inReadyList);
 }
 
 TEST(PipelineFacade, TrivialProgramStillWorks)
@@ -526,4 +542,242 @@ TEST(PipelineFacade, TrivialProgramStillWorks)
     const SimResult r = runProgram(exitOnly, CoreParams{});
     EXPECT_EQ(r.retired, 3u);
     EXPECT_GT(r.cycles, 0u);
+}
+
+// ---- frozen schedule digest ---------------------------------------------
+
+namespace
+{
+
+/** Folds every retired instruction's schedule into one hash. */
+class ScheduleDigest : public RetireListener
+{
+  public:
+    void
+    onRetire(const DynInst &d) override
+    {
+        fnv.update(d.seq)
+            .update(d.rec.pc)
+            .update(d.renameCycle)
+            .update(d.issueCycle)
+            .update(d.completeCycle)
+            .update(d.retireCycle)
+            .update(static_cast<std::uint64_t>(d.issueDom))
+            .update(d.domProducer)
+            .update(static_cast<std::uint64_t>(d.commitDom))
+            .update(static_cast<std::uint64_t>(d.memLevel));
+    }
+
+    Fnv64 fnv;
+};
+
+/** Run @p body(i) for every i < @p n on a few worker threads: the
+ *  cases are independent simulations, so the oracle stays short. */
+void
+forEachOnPool(std::size_t n, const std::function<void(std::size_t)> &body)
+{
+    sweep::ThreadPool pool(
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
+    for (std::size_t i = 0; i < n; ++i)
+        pool.submit([&body, i] { body(i); });
+    pool.waitIdle();
+}
+
+/**
+ * Schedule digest of @p suite under @p config: every workload in suite
+ * order on a 1-core System, each run to completion or, when @p bound
+ * is non-zero, to its first @p bound retired instructions.
+ */
+std::uint64_t
+suiteScheduleDigest(const char *suite, const char *config,
+                    unsigned sched_loop, std::uint64_t bound)
+{
+    NamedConfig cfg;
+    EXPECT_TRUE(configByName(config, CoreParams::fourWide(), &cfg));
+    cfg.params.schedLoop = sched_loop;
+    ScheduleDigest digest;
+    for (const Workload *w : suiteWorkloads(suite)) {
+        const SpmdEmulators emus(*w, 1);
+        System sys(cfg.params, emus.cores());
+        sys.core(0).setRetireListener(&digest);
+        const SimResult r = bound ? sys.runUntilRetired(bound) : sys.run();
+        digest.fnv.update(r.cycles).update(r.retired);
+    }
+    return digest.fnv.value();
+}
+
+struct ScheduleCase {
+    const char *suite;
+    const char *config;
+    unsigned schedLoop;
+    std::uint64_t bound;  //!< retired-instruction cap per workload (0: none)
+    std::uint64_t digest;
+};
+
+/** Recorded on the rescanning scheduler that the event-driven one
+ *  replaced; every retired instruction's schedule must match it. */
+constexpr ScheduleCase ScheduleGolden[] = {
+    {"spec", "BASE", 1, 0, 0xb8559900d75ad26aULL},
+    {"spec", "RENO", 1, 0, 0x781d624f9ee4d3c1ULL},
+    {"spec", "RENO+FullInteg", 1, 0, 0x3e260c3118c3ff2eULL},
+    {"spec", "RENO", 2, 0, 0xfdb3ac647cedffd7ULL},
+    {"media", "BASE", 1, 0, 0x8e93bec7454a688fULL},
+    {"media", "RENO", 1, 0, 0xf1e388651730111dULL},
+    {"media", "RENO+FullInteg", 1, 0, 0x4792e98957190feeULL},
+    {"synth", "BASE", 1, 200'000, 0xf8696e9e302633efULL},
+    {"synth", "RENO", 1, 200'000, 0xb11df61a0edd0bb8ULL},
+    {"synth", "RENO+FullInteg", 1, 200'000, 0xeb12abda03c75cd2ULL},
+    {"mem", "BASE", 1, 200'000, 0xeedc68d2a5b5481cULL},
+    {"mem", "RENO", 1, 200'000, 0xdb71c683b1849e72ULL},
+    {"mem", "RENO+FullInteg", 1, 200'000, 0xc8f9893a8b53b05dULL},
+    {"branch", "BASE", 1, 200'000, 0xb826e931855add7dULL},
+    {"branch", "RENO", 1, 200'000, 0xbc5d87b3283c2734ULL},
+    {"branch", "RENO+FullInteg", 1, 200'000, 0xb2df9fb8b5659c5cULL},
+};
+
+// Two stores of one store set in flight behind a load of that set,
+// the older one slower: once training has put the load and both
+// stores in one set, the load must wait until both have issued. The
+// younger store (the one the LFST names) issues first, while the
+// older one still waits.
+const char *const storeSetChainSrc = R"(
+        .data
+cell:   .space 64
+        .text
+_start:
+        la   s0, cell
+        li   s1, 1000
+        li   s2, 1
+        li   s3, 0
+loop:
+        andi t2, s1, 1
+        beq  t2, even
+        div  t1, s0, s2
+        mov  t0, s0
+        br   go
+even:
+        div  t0, s0, s2
+        div  t0, t0, s2
+        div  t1, s0, s2
+go:
+        stq  s1, 0(t0)
+        stq  s3, 0(t1)
+        ldq  t4, 0(s0)
+        add  s3, s3, t4
+        subi s1, s1, 1
+        bne  s1, loop
+        mov  a0, s3
+        li   v0, 1
+        syscall
+        li   v0, 0
+        li   a0, 0
+        syscall
+)";
+
+/** Schedule digest of one kernel on a bare Core under @p config. */
+std::uint64_t
+kernelScheduleDigest(const char *src, const RenoConfig &config)
+{
+    const Program prog = assemble(src);
+    Emulator emu(prog);
+    CoreParams p;
+    p.reno = config;
+    Core core(p, emu);
+    ScheduleDigest digest;
+    core.setRetireListener(&digest);
+    const SimResult r = core.run();
+    digest.fnv.update(r.cycles).update(r.violationSquashes);
+    return digest.fnv.value();
+}
+
+/** RAII CPI-stack accounting; never leaks into the next test. */
+struct CpiStackOn {
+    CpiStackOn() { obs::CpiAccounting::instance().setStackEnabled(true); }
+    ~CpiStackOn()
+    {
+        obs::CpiAccounting::instance().setStackEnabled(false);
+    }
+};
+
+/** Every SimResult registry field, then each core's CPI stack. */
+std::string
+renderMultiCore(const RunOutput &out)
+{
+    std::string text;
+    for (const SimStatField &f : simResultFields())
+        text += strprintf("%s=%llu\n", f.name,
+                          static_cast<unsigned long long>(
+                              statValue(out.sim, f)));
+    for (std::size_t c = 0; c < out.cpi.perCore.size(); ++c) {
+        for (std::size_t b = 0; b < obs::NumCpiBuckets; ++b) {
+            const auto bucket = static_cast<obs::CpiBucket>(b);
+            text += strprintf("core%zu.%s=%llu\n", c,
+                              obs::cpiBucketName(bucket),
+                              static_cast<unsigned long long>(
+                                  out.cpi.perCore[c].get(bucket)));
+        }
+    }
+    return text;
+}
+
+struct MultiCase {
+    const char *workload;
+    std::uint64_t digest;  //!< Fnv64 of renderMultiCore's text
+};
+
+constexpr MultiCase MultiGolden[] = {
+    {"multi.prodcons", 0x4ce822af05136b0aULL},
+    {"multi.lock", 0x73889e744f4f741eULL},
+    {"multi.false", 0xfce150cf1c5a4baaULL},
+    {"multi.false.pad", 0x0eb8562cafd2bae8ULL},
+    {"multi.stream", 0x4f4a45ae897008f3ULL},
+};
+
+} // namespace
+
+TEST(ScheduleGoldenDigest, EverySuiteUnderEveryConfig)
+{
+    std::vector<std::uint64_t> got(std::size(ScheduleGolden));
+    forEachOnPool(got.size(), [&](std::size_t i) {
+        const ScheduleCase &c = ScheduleGolden[i];
+        got[i] =
+            suiteScheduleDigest(c.suite, c.config, c.schedLoop, c.bound);
+    });
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const ScheduleCase &c = ScheduleGolden[i];
+        EXPECT_EQ(got[i], c.digest)
+            << c.suite << " under " << c.config << " (schedLoop "
+            << c.schedLoop << "): the schedule diverged";
+    }
+}
+
+TEST(ScheduleGoldenDigest, StoreSetChainWaitsForOldestStore)
+{
+    EXPECT_EQ(kernelScheduleDigest(storeSetChainSrc,
+                                   RenoConfig::baseline()),
+              0x0bcbd1f5130ed4e0ULL);
+    EXPECT_EQ(kernelScheduleDigest(storeSetChainSrc, RenoConfig::full()),
+              0x349905645314adbbULL);
+}
+
+TEST(ScheduleGoldenDigest, MultiSuiteAtFourCores)
+{
+    NamedConfig cfg;
+    ASSERT_TRUE(configByName("RENO/4c", CoreParams::fourWide(), &cfg));
+    const std::vector<const Workload *> suite = suiteWorkloads("multi");
+    ASSERT_EQ(suite.size(), std::size(MultiGolden));
+    std::vector<RunOutput> out(suite.size());
+    {
+        const CpiStackOn cpi;
+        forEachOnPool(suite.size(), [&](std::size_t i) {
+            out[i] = runWorkload(*suite[i], cfg.params);
+        });
+    }
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        ASSERT_EQ(suite[i]->name, MultiGolden[i].workload);
+        ASSERT_EQ(out[i].cpi.perCore.size(), 4u) << suite[i]->name;
+        const std::string text = renderMultiCore(out[i]);
+        EXPECT_EQ(Fnv64().update(text).value(), MultiGolden[i].digest)
+            << suite[i]->name << " diverged; it now reports:\n" << text;
+    }
 }
