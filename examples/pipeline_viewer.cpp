@@ -21,8 +21,8 @@
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
+#include "sys/system.hpp"
 #include "trace/pipetrace.hpp"
-#include "uarch/core.hpp"
 
 using namespace reno;
 
@@ -142,9 +142,9 @@ main(int argc, char **argv)
     Emulator::Options eopts;
     eopts.randSeed = w.seed;
     Emulator emu(prog, eopts);
-    Core core(params, emu);
-    core.setRetireListener(&tracer);
-    const SimResult r = core.run();
+    System sys(params, {&emu});
+    sys.core(0).setRetireListener(&tracer);
+    const SimResult r = sys.run();
 
     std::printf("%s on '%s' (config %s): %llu insts, %llu cycles, "
                 "IPC %.3f, %.1f%% collapsed\n\n",

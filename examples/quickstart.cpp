@@ -1,17 +1,18 @@
 /**
  * @file
  * Quickstart: assemble a small program, run it functionally, then run
- * it through the cycle-level core with and without RENO and compare.
+ * it through the cycle-level core (a 1-core System) with and without
+ * RENO and compare.
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   ./build/quickstart
  */
 #include <cstdio>
 
 #include "asm/assembler.hpp"
 #include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "sys/system.hpp"
 
 namespace
 {
@@ -105,9 +106,9 @@ main()
                 static_cast<unsigned long long>(ref.instCount()),
                 ref.output().c_str());
 
-    // 2. Cycle-level baseline (RENO disabled).
+    // 2. Cycle-level baseline (RENO disabled), on a 1-core System.
     Emulator emu_base(prog);
-    Core base(CoreParams::fourWide(), emu_base);
+    System base(CoreParams::fourWide(), {&emu_base});
     const SimResult r_base = base.run();
     report("baseline", r_base);
 
@@ -115,8 +116,8 @@ main()
     Emulator emu_reno(prog);
     CoreParams params = CoreParams::fourWide();
     params.reno = RenoConfig::full();
-    Core reno_core(params, emu_reno);
-    const SimResult r_reno = reno_core.run();
+    System reno_sys(params, {&emu_reno});
+    const SimResult r_reno = reno_sys.run();
     report("RENO", r_reno);
 
     if (emu_base.output() != ref.output() ||

@@ -2,7 +2,7 @@
  * @file
  * Assembly runner: assemble a .s file from disk, execute it on the
  * functional emulator, and (optionally) simulate it on the timing
- * core with a chosen RENO configuration.
+ * core (a 1-core System) with a chosen RENO configuration.
  *
  * Usage:
  *   run_asm program.s                 # functional run only
@@ -16,7 +16,7 @@
 #include "common/log.hpp"
 #include "common/textfile.hpp"
 #include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "sys/system.hpp"
 
 using namespace reno;
 
@@ -76,8 +76,8 @@ main(int argc, char **argv)
     else
         fatal("unknown config '%s'", config.c_str());
 
-    Core core(params, emu);
-    const SimResult r = core.run();
+    System sys(params, {&emu});
+    const SimResult r = sys.run();
     std::printf("output: %s\n", emu.output().c_str());
     std::printf("cycles=%llu IPC=%.3f eliminated=%.1f%% "
                 "(ME %.1f%% CF %.1f%% CSE+RA %.1f%%)\n",

@@ -6,48 +6,74 @@
 namespace reno
 {
 
+SharedStack::SharedStack(const MemParams &params)
+{
+    // Assemble back to front: memory, then the levels deepest first.
+    // The bus moves one block of the deepest cache level per request.
+    std::vector<CacheParams> stack;
+    stack.push_back(params.l2);
+    for (const CacheParams &extra : params.extraLevels)
+        stack.push_back(extra);
+    if (params.modelWritebacks) {
+        for (CacheParams &level : stack)
+            level.writebackTraffic = true;
+    }
+
+    memory_ = std::make_unique<MainMemory>(params.memory,
+                                           stack.back().blockBytes);
+    levels_.resize(stack.size());
+    for (std::size_t i = stack.size(); i-- > 0;) {
+        MemLevel *next = i + 1 < stack.size()
+                             ? static_cast<MemLevel *>(levels_[i + 1].get())
+                             : static_cast<MemLevel *>(memory_.get());
+        levels_[i] = std::make_unique<Cache>(stack[i], next);
+    }
+}
+
+void
+SharedStack::copyStateFrom(const SharedStack &other)
+{
+    if (levels_.size() != other.levels_.size())
+        fatal("shared stack: copyStateFrom depth mismatch "
+              "(%zu levels vs %zu)",
+              levels_.size(), other.levels_.size());
+    for (std::size_t i = 0; i < levels_.size(); ++i)
+        levels_[i]->copyStateFrom(*other.levels_[i]);
+    memory_->copyStateFrom(*other.memory_);
+}
+
+void
+SharedStack::settle()
+{
+    for (const auto &level : levels_)
+        level->settle();
+    memory_->settle();
+}
+
+void
+SharedStack::flush()
+{
+    for (const auto &level : levels_)
+        level->flush();
+    memory_->flush();
+}
+
 MemHierarchy::MemHierarchy(const Params &params, const Attach *attach)
     : params_(params)
 {
-    if (!attach) {
-        // Assemble back to front: memory, then the shared stack
-        // deepest first, then the split L1s. The bus moves one block
-        // of the deepest cache level per request.
-        std::vector<CacheParams> stack;
-        stack.push_back(params_.l2);
-        for (const CacheParams &extra : params_.extraLevels)
-            stack.push_back(extra);
-        if (params_.modelWritebacks) {
-            for (CacheParams &level : stack)
-                level.writebackTraffic = true;
-        }
-
-        memory_ = std::make_unique<MainMemory>(params_.memory,
-                                               stack.back().blockBytes);
-        shared_.resize(stack.size());
-        for (std::size_t i = stack.size(); i-- > 0;) {
-            MemLevel *next = i + 1 < stack.size()
-                                 ? static_cast<MemLevel *>(
-                                       shared_[i + 1].get())
-                                 : static_cast<MemLevel *>(memory_.get());
-            shared_[i] = std::make_unique<Cache>(stack[i], next);
-        }
-        for (const auto &level : shared_)
-            sharedView_.push_back(level.get());
-    } else {
-        // Attached mode: the shared stack (and main memory) belong to
-        // the System; this hierarchy builds only the private L1s on
-        // top of the borrowed backend, and wires its D$ into the
-        // coherence bus.
-        if (!attach->backend || attach->shared.empty())
+    if (attach) {
+        // Attached mode: the shared stack belongs to the System (or
+        // its warming twin); this hierarchy builds only the private
+        // L1s on top of it, and wires its D$ into the coherence bus.
+        if (!attach->stack)
             fatal("memory hierarchy: attach without a shared stack");
         attach_ = *attach;
-        sharedView_ = attach_.shared;
+    } else {
+        owned_ = std::make_unique<SharedStack>(params_);
+        attach_.stack = owned_.get();
     }
 
-    MemLevel *const l1_next =
-        attach ? attach_.backend
-               : static_cast<MemLevel *>(shared_[0].get());
+    MemLevel *const l1_next = &attach_.stack->level(0);
     CacheParams icache_params = params_.icache;
     CacheParams dcache_params = params_.dcache;
     if (params_.modelWritebacks)
@@ -69,12 +95,11 @@ MemHierarchy::MemHierarchy(const Params &params, const Attach *attach)
 std::vector<Cache *>
 MemHierarchy::levelsMutable()
 {
-    std::vector<Cache *> out;
-    out.reserve(2 + shared_.size());
-    out.push_back(icache_.get());
-    out.push_back(dcache_.get());
-    for (const auto &level : shared_)
-        out.push_back(level.get());
+    std::vector<Cache *> out{icache_.get(), dcache_.get()};
+    if (owned_) {
+        for (std::size_t i = 0; i < owned_->numLevels(); ++i)
+            out.push_back(&owned_->level(i));
+    }
     return out;
 }
 
@@ -109,34 +134,28 @@ MemHierarchy::dataAccess(Addr addr, Cycle now, bool is_write)
 void
 MemHierarchy::flush()
 {
-    for (Cache *level : levelsMutable())
-        level->flush();
-    if (memory_)
-        memory_->flush();
+    icache_->flush();
+    dcache_->flush();
+    if (owned_)
+        owned_->flush();
 }
 
 void
 MemHierarchy::copyStateFrom(const MemHierarchy &other)
 {
-    if (!attached() && shared_.size() != other.shared_.size())
-        fatal("memory hierarchy: copyStateFrom depth mismatch "
-              "(%zu shared levels vs %zu)",
-              shared_.size(), other.shared_.size());
     icache_->copyStateFrom(*other.icache_);
     dcache_->copyStateFrom(*other.dcache_);
-    for (std::size_t i = 0; i < shared_.size(); ++i)
-        shared_[i]->copyStateFrom(*other.shared_[i]);
-    if (memory_)
-        memory_->copyStateFrom(*other.memory_);
+    if (owned_)
+        owned_->copyStateFrom(other.sharedStack());
 }
 
 void
 MemHierarchy::settle()
 {
-    for (Cache *level : levelsMutable())
-        level->settle();
-    if (memory_)
-        memory_->settle();
+    icache_->settle();
+    dcache_->settle();
+    if (owned_)
+        owned_->settle();
 }
 
 MemHierarchy::State
@@ -154,8 +173,8 @@ MemHierarchy::importState(const State &state)
     std::vector<Cache *> levels = levelsMutable();
     if (state.caches.size() != levels.size())
         return false;
-    if (memory_)
-        memory_->settle();
+    if (owned_)
+        owned_->settle();
     for (std::size_t i = 0; i < levels.size(); ++i) {
         if (!levels[i]->importState(state.caches[i]))
             return false;

@@ -11,8 +11,14 @@
  * clocked at one quarter of the core frequency, and a maximum of 16
  * outstanding misses (MSHRs). Deeper stacks (an L3), per-level
  * prefetchers and write-back traffic modeling are opt-in through
- * Params, so the paper-geometry outputs are bit-identical to the
- * fixed three-cache model this replaces.
+ * the parameters, so the paper-geometry outputs are bit-identical to
+ * the fixed three-cache model this replaces.
+ *
+ * The shared part -- every level below the L1s plus main memory --
+ * is one SharedStack, built in one place and owned by whatever the
+ * L1s hang off: a System (one stack under every core), a
+ * SysWarmState (its warming twin), or an owning-mode MemHierarchy
+ * (single-core functional warming and unit tests).
  */
 #pragma once
 
@@ -28,51 +34,94 @@ namespace reno
 
 class CoherenceBus;
 
-/** The hierarchy: I$ + D$ over shared levels over main memory. */
+/** Geometry of the whole hierarchy (MemHierarchy::Params). */
+struct MemParams {
+    CacheParams icache{"icache", 16 * 1024, 2, 32, 1, 16, {}, false};
+    CacheParams dcache{"dcache", 32 * 1024, 2, 32, 2, 16, {}, false};
+    CacheParams l2{"l2", 512 * 1024, 4, 64, 10, 16, {}, false};
+    /** Shared levels below the L2 (an L3, an L4...), nearest first.
+     *  Empty = the paper's two-level stack. */
+    std::vector<CacheParams> extraLevels;
+    MemoryParams memory;
+    /** Model dirty-victim write-back traffic on every level's bus
+     *  (D$ and shared levels; the I$ never dirties lines). Off by
+     *  default: the paper's model carries none. */
+    bool modelWritebacks = false;
+};
+
+/**
+ * The shared stack below the private L1s: the L2, any deeper levels
+ * and main memory. Assembled back to front, with write-back modeling
+ * propagated to every level and the memory bus moving one block of
+ * the deepest level per transfer. Not copyable (each level points at
+ * the next); copyStateFrom() clones state between same-geometry
+ * stacks.
+ */
+class SharedStack
+{
+  public:
+    explicit SharedStack(const MemParams &params);
+    SharedStack(const SharedStack &) = delete;
+    SharedStack &operator=(const SharedStack &) = delete;
+
+    /** The cache levels, nearest (the L2) first. */
+    std::size_t numLevels() const { return levels_.size(); }
+    Cache &level(std::size_t i) { return *levels_[i]; }
+    const Cache &level(std::size_t i) const { return *levels_[i]; }
+    const MainMemory &memory() const { return *memory_; }
+
+    /** Would @p addr hit in any level? */
+    bool
+    probe(Addr addr) const
+    {
+        for (const auto &level : levels_) {
+            if (level->probe(addr))
+                return true;
+        }
+        return false;
+    }
+
+    /** Adopt another same-geometry stack's state: every level (tags,
+     *  LRU, counters, prefetcher training) and the memory bus.
+     *  fatal()s on a depth mismatch. */
+    void copyStateFrom(const SharedStack &other);
+
+    /** Drop in-flight timing state (MSHRs, the memory bus). */
+    void settle();
+
+    void flush();
+
+  private:
+    std::unique_ptr<MainMemory> memory_;
+    std::vector<std::unique_ptr<Cache>> levels_;  //!< L2 first
+};
+
+/** The hierarchy: I$ + D$ over a SharedStack. */
 class MemHierarchy
 {
   public:
-    struct Params {
-        CacheParams icache{"icache", 16 * 1024, 2, 32, 1, 16, {},
-                           false};
-        CacheParams dcache{"dcache", 32 * 1024, 2, 32, 2, 16, {},
-                           false};
-        CacheParams l2{"l2", 512 * 1024, 4, 64, 10, 16, {}, false};
-        /** Shared levels below the L2 (an L3, an L4...), nearest
-         *  first. Empty = the paper's two-level stack. */
-        std::vector<CacheParams> extraLevels;
-        MemoryParams memory;
-        /** Model dirty-victim write-back traffic on every level's
-         *  bus (D$ and shared levels; the I$ never dirties lines).
-         *  Off by default: the paper's model carries none. */
-        bool modelWritebacks = false;
-    };
+    using Params = MemParams;
 
     /**
-     * Multi-core attachment: build only the private L1s and back them
-     * by a shared stack owned elsewhere (the System), with every data
+     * Attached mode: build only the private L1s over a shared stack
+     * owned elsewhere (a System or SysWarmState), with every data
      * access snooped by the coherence bus first. The borrowed
      * pointers must outlive the hierarchy.
      */
     struct Attach {
-        MemLevel *backend = nullptr;  //!< first shared level (the L2)
-        /** The shared stack, nearest first (probes and reporting). */
-        std::vector<const Cache *> shared;
+        SharedStack *stack = nullptr;
         CoherenceBus *bus = nullptr;
         unsigned coreId = 0;
     };
 
-    /** Owning mode when @p attach is null (identical to the
-     *  single-core constructor), attached mode otherwise. */
+    /** Owning mode (a SharedStack of its own) when @p attach is null,
+     *  attached mode otherwise. */
     MemHierarchy(const Params &params, const Attach *attach);
     explicit MemHierarchy(const Params &params)
         : MemHierarchy(params, nullptr)
     {
     }
     MemHierarchy() : MemHierarchy(Params{}) {}
-
-    /** True when the shared stack is borrowed from a System. */
-    bool attached() const { return attach_.backend != nullptr; }
 
     /** Instruction fetch of the block containing @p pc. */
     Cycle fetchAccess(Addr pc, Cycle now);
@@ -82,7 +131,7 @@ class MemHierarchy
     Cycle dataAccess(Addr addr, Cycle now, bool is_write);
 
     /** Coherence-bus penalty the most recent dataAccess paid (cycles;
-     *  always 0 in single-core/owning mode). CPI-stack attribution. */
+     *  always 0 in owning mode). CPI-stack attribution. */
     Cycle lastCohPenalty() const { return lastCohPenalty_; }
 
     /** Would a load of @p addr hit in the D$ right now? */
@@ -91,22 +140,14 @@ class MemHierarchy
     bool
     l2Probe(Addr addr) const
     {
-        return sharedStack().front()->probe(addr);
+        return attach_.stack->level(0).probe(addr);
     }
 
     /** Would it hit in ANY shared level? Load-latency classification
      *  (MemHitLevel): a hit anywhere on-chip is a cache hit, not a
      *  memory access, however deep the stack. Equals l2Probe() for
      *  the paper's two-level default. */
-    bool
-    sharedProbe(Addr addr) const
-    {
-        for (const Cache *level : sharedStack()) {
-            if (level->probe(addr))
-                return true;
-        }
-        return false;
-    }
+    bool sharedProbe(Addr addr) const { return attach_.stack->probe(addr); }
 
     void flush();
 
@@ -116,7 +157,7 @@ class MemHierarchy
      * deliberately not copyable (the levels hold pointers into their
      * owner); this is the supported way to clone its state. An
      * attached hierarchy adopts only the L1s, from either mode: its
-     * shared stack belongs to the System, which injects it itself.
+     * shared stack belongs to its owner, which injects it itself.
      */
     void copyStateFrom(const MemHierarchy &other);
 
@@ -133,25 +174,15 @@ class MemHierarchy
 
     const Cache &icache() const { return *icache_; }
     const Cache &dcache() const { return *dcache_; }
-    /** The first shared level (owned or borrowed). */
-    const Cache &l2() const { return *sharedStack().front(); }
 
-    /** The shared stack below the L1s, nearest first (owned in
-     *  single-core mode, borrowed from the System when attached). */
-    std::size_t numSharedLevels() const { return sharedView_.size(); }
-    const Cache &sharedLevel(std::size_t i) const
-    {
-        return *sharedView_[i];
-    }
-
-    /** Owning mode only (the System owns memory when attached). */
-    const MainMemory &memory() const { return *memory_; }
+    /** The shared stack below the L1s (owned or borrowed). */
+    const SharedStack &sharedStack() const { return *attach_.stack; }
 
     /**
      * Every cache level this hierarchy OWNS, in State order: I$, D$,
      * then the shared stack when owning. Attached hierarchies report
      * (and persist, via exportState) only their private L1s; the
-     * System accounts the shared stack once.
+     * stack's owner accounts the shared levels once.
      */
     std::vector<const Cache *> levels() const;
 
@@ -159,19 +190,13 @@ class MemHierarchy
 
   private:
     std::vector<Cache *> levelsMutable();
-    const std::vector<const Cache *> &sharedStack() const
-    {
-        return sharedView_;
-    }
 
     Params params_;
+    /** The shared stack in owning mode; null when attached. */
+    std::unique_ptr<SharedStack> owned_;
+    /** attach_.stack is owned_ in owning mode (never null). */
     Attach attach_;
     Cycle lastCohPenalty_ = 0;
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    /** The shared stack as borrowed views: shared_ when owning,
-     *  attach_.shared when attached (probe/report hot path). */
-    std::vector<const Cache *> sharedView_;
     std::unique_ptr<Cache> icache_;
     std::unique_ptr<Cache> dcache_;
 };

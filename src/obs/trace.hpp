@@ -91,8 +91,9 @@ class Tracer
 
     /**
      * Periodic StatSet counter sampling: when non-zero (and the
-     * tracer is enabled), Core::runUntilRetired emits every pipeline
-     * counter as a trace counter series every N simulated cycles.
+     * tracer is enabled), System::runUntilRetired emits every core's
+     * pipeline counters as a trace counter series ("core<i>.stats")
+     * every N simulated cycles.
      */
     std::uint64_t
     cycleSampleInterval() const

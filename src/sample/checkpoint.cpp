@@ -290,10 +290,11 @@ encodeSysWarm(std::string &out, const SysWarmState &warm)
             bus.interventions, bus.upgradeMisses, bus.writebacks);
     for (const CoherenceBusState::Line &l : bus.lines)
         putLine(out, "busln", l.line, l.sharers, l.owner, l.modified);
-    putLine(out, "sharedlevels", warm.numSharedLevels());
-    for (std::size_t i = 0; i < warm.numSharedLevels(); ++i)
-        encodeCacheState(out, warm.sharedLevel(i).name(),
-                         warm.sharedLevel(i).exportState());
+    const SharedStack &shared = warm.sharedStack();
+    putLine(out, "sharedlevels", shared.numLevels());
+    for (std::size_t i = 0; i < shared.numLevels(); ++i)
+        encodeCacheState(out, shared.level(i).name(),
+                         shared.level(i).exportState());
     for (unsigned c = 0; c < warm.numCores(); ++c) {
         putLine(out, "corewarm", c);
         encodeCoreWarm(out, warm.lastFetchBlock(c), warm.coreMem(c),
@@ -320,11 +321,12 @@ decodeSysWarm(LineReader &in, SysWarmState &warm, std::string *why)
                                        "%u-core bus",
                                        warm.numCores()));
 
-    if (!in.next("sharedlevels", n) || n != warm.numSharedLevels())
+    SharedStack &shared = warm.sharedStack();
+    if (!in.next("sharedlevels", n) || n != shared.numLevels())
         return failWith(why, "shared-stack depth does not match the "
                              "target geometry");
-    for (std::size_t i = 0; i < warm.numSharedLevels(); ++i) {
-        Cache &level = warm.sharedLevel(i);
+    for (std::size_t i = 0; i < shared.numLevels(); ++i) {
+        Cache &level = shared.level(i);
         CacheState state;
         if (!decodeCacheState(in, level.name(), &state) ||
             !level.importState(state))

@@ -129,24 +129,21 @@ warmTo(const std::vector<Emulator *> &emus, SysWarmState &warm,
 }
 
 /** Inject single-core warm tables: the owning hierarchy's shared
- *  levels into the System's stack, its L1s and the predictor into
- *  core 0. */
+ *  stack into the System's, its L1s and the predictor into core 0. */
 void
 inject(System &sys, const WarmState &warm)
 {
-    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
-        sys.sharedLevel(i).copyStateFrom(warm.mem.sharedLevel(i));
+    sys.sharedStack().copyStateFrom(warm.mem.sharedStack());
     sys.core(0).memHierarchy().copyStateFrom(warm.mem);
     sys.core(0).branchPredictor() = warm.bp;
 }
 
-/** Inject N-core warm tables: shared levels, MESI directory, then
+/** Inject N-core warm tables: shared stack, MESI directory, then
  *  every core's L1s and predictor. */
 void
 inject(System &sys, const SysWarmState &warm)
 {
-    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
-        sys.sharedLevel(i).copyStateFrom(warm.sharedLevel(i));
+    sys.sharedStack().copyStateFrom(warm.sharedStack());
     if (!sys.bus().importState(warm.bus().exportState()))
         fatal("runIntervalDetailed: warmed MESI directory does not fit "
               "a %u-core bus", sys.numCores());
@@ -195,8 +192,7 @@ measureWindow(const CoreParams &params, const SpmdEmulators &emus,
 
     System sys(params, emus.cores());
     inject(sys, *warm);
-    for (std::size_t i = 0; i < sys.numSharedLevels(); ++i)
-        sys.sharedLevel(i).settle();
+    sys.sharedStack().settle();
     for (unsigned i = 0; i < sys.numCores(); ++i)
         sys.core(i).memHierarchy().settle();
 

@@ -98,57 +98,10 @@ SysWarmState::SysWarmState(const MemHierarchy::Params &mem_params,
                            const BranchPredParams &bp_params,
                            unsigned num_cores)
     : memParams_(mem_params), bpParams_(bp_params),
-      numCores_(num_cores)
-{
-    build();
-}
-
-SysWarmState::SysWarmState(const SysWarmState &other)
-    : memParams_(other.memParams_), bpParams_(other.bpParams_),
-      numCores_(other.numCores_)
-{
-    build();
-    for (std::size_t i = 0; i < shared_.size(); ++i)
-        shared_[i]->copyStateFrom(*other.shared_[i]);
-    if (!bus_->importState(other.bus_->exportState()))
-        fatal("SysWarmState clone: bus state does not round-trip");
-    for (unsigned i = 0; i < numCores_; ++i) {
-        coreMem_[i]->copyStateFrom(*other.coreMem_[i]);
-        coreBps_[i] = other.coreBps_[i];
-    }
-    lastFetchBlock_ = other.lastFetchBlock_;
-}
-
-void
-SysWarmState::build()
+      numCores_(num_cores), shared_(mem_params)
 {
     if (numCores_ < 1)
         fatal("SysWarmState: core count must be positive");
-
-    // The shared stack and memory, assembled exactly as the System
-    // assembles its own (sys/system.cpp): back to front, write-back
-    // modeling propagated, the memory bus moving one block of the
-    // deepest level per transfer.
-    std::vector<CacheParams> stack;
-    stack.push_back(memParams_.l2);
-    for (const CacheParams &extra : memParams_.extraLevels)
-        stack.push_back(extra);
-    if (memParams_.modelWritebacks) {
-        for (CacheParams &level : stack)
-            level.writebackTraffic = true;
-    }
-    memory_ = std::make_unique<MainMemory>(memParams_.memory,
-                                           stack.back().blockBytes);
-    shared_.resize(stack.size());
-    for (std::size_t i = stack.size(); i-- > 0;) {
-        MemLevel *next =
-            i + 1 < stack.size()
-                ? static_cast<MemLevel *>(shared_[i + 1].get())
-                : static_cast<MemLevel *>(memory_.get());
-        shared_[i] = std::make_unique<Cache>(stack[i], next);
-    }
-    for (const auto &level : shared_)
-        sharedView_.push_back(level.get());
 
     // Warming-mode bus: default latencies -- the penalties are
     // discarded, only the directory/tag transitions matter.
@@ -160,16 +113,25 @@ SysWarmState::build()
     coreMem_.reserve(numCores_);
     coreBps_.reserve(numCores_);
     for (unsigned i = 0; i < numCores_; ++i) {
-        MemHierarchy::Attach attach;
-        attach.backend = shared_[0].get();
-        attach.shared = sharedView_;
-        attach.bus = bus_.get();
-        attach.coreId = i;
+        const MemHierarchy::Attach attach{&shared_, bus_.get(), i};
         coreMem_.push_back(
             std::make_unique<MemHierarchy>(memParams_, &attach));
         coreBps_.emplace_back(bpParams_);
     }
     lastFetchBlock_.assign(numCores_, ~Addr{0});
+}
+
+SysWarmState::SysWarmState(const SysWarmState &other)
+    : SysWarmState(other.memParams_, other.bpParams_, other.numCores_)
+{
+    shared_.copyStateFrom(other.shared_);
+    if (!bus_->importState(other.bus_->exportState()))
+        fatal("SysWarmState clone: bus state does not round-trip");
+    for (unsigned i = 0; i < numCores_; ++i) {
+        coreMem_[i]->copyStateFrom(*other.coreMem_[i]);
+        coreBps_[i] = other.coreBps_[i];
+    }
+    lastFetchBlock_ = other.lastFetchBlock_;
 }
 
 namespace

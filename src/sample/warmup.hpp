@@ -90,10 +90,10 @@ void warmStep(Emulator &emu, WarmState &warm,
  * Functionally warmed state of an N-core System: per-core private
  * L1s and branch predictors over one shared L2/L3 stack, with a
  * warming-mode CoherenceBus keeping the MESI directory and the L1
- * tag arrays in lockstep. The shared stack is assembled with exactly
- * the System's logic, and the per-core hierarchies attach to it the
- * way the System's cores do -- so injecting this state into a System
- * of the same geometry is a level-by-level copy.
+ * tag arrays in lockstep. The shared stack is the System's own type
+ * (SharedStack), and the per-core hierarchies attach to it the way
+ * the System's cores do -- so injecting this state into a System of
+ * the same geometry is a level-by-level copy.
  *
  * Warming is tag-pure: the bus's latency penalties are computed and
  * discarded (tag fills are eager and cycle-independent), so the warm
@@ -130,12 +130,8 @@ class SysWarmState
         return lastFetchBlock_[i];
     }
 
-    std::size_t numSharedLevels() const { return shared_.size(); }
-    Cache &sharedLevel(std::size_t i) { return *shared_[i]; }
-    const Cache &sharedLevel(std::size_t i) const
-    {
-        return *shared_[i];
-    }
+    SharedStack &sharedStack() { return shared_; }
+    const SharedStack &sharedStack() const { return shared_; }
 
     CoherenceBus &bus() { return *bus_; }
     const CoherenceBus &bus() const { return *bus_; }
@@ -144,15 +140,11 @@ class SysWarmState
     const BranchPredParams &bpParams() const { return bpParams_; }
 
   private:
-    void build();
-
     MemHierarchy::Params memParams_;
     BranchPredParams bpParams_;
     unsigned numCores_;
 
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    std::vector<const Cache *> sharedView_;
+    SharedStack shared_;
     std::unique_ptr<CoherenceBus> bus_;
     std::vector<std::unique_ptr<MemHierarchy>> coreMem_;
     std::vector<BranchPredictor> coreBps_;

@@ -26,7 +26,7 @@ checkedNumCores(const SysParams &sys)
 
 System::System(const CoreParams &params,
                const std::vector<Emulator *> &emus)
-    : params_(params),
+    : params_(params), shared_(params.mem),
       bus_(params.sys, params.mem.dcache.blockBytes,
            checkedNumCores(params.sys))
 {
@@ -35,42 +35,13 @@ System::System(const CoreParams &params,
         fatal("system: %u cores need %u emulators (got %zu)", n, n,
               emus.size());
 
-    // The shared stack and memory, assembled exactly as the
-    // single-core hierarchy assembles its own (mem/hierarchy.cpp):
-    // back to front, write-back modeling propagated, the memory bus
-    // moving one block of the deepest level per transfer.
-    std::vector<CacheParams> stack;
-    stack.push_back(params_.mem.l2);
-    for (const CacheParams &extra : params_.mem.extraLevels)
-        stack.push_back(extra);
-    if (params_.mem.modelWritebacks) {
-        for (CacheParams &level : stack)
-            level.writebackTraffic = true;
-    }
-    memory_ = std::make_unique<MainMemory>(params_.mem.memory,
-                                           stack.back().blockBytes);
-    shared_.resize(stack.size());
-    for (std::size_t i = stack.size(); i-- > 0;) {
-        MemLevel *next =
-            i + 1 < stack.size()
-                ? static_cast<MemLevel *>(shared_[i + 1].get())
-                : static_cast<MemLevel *>(memory_.get());
-        shared_[i] = std::make_unique<Cache>(stack[i], next);
-    }
-    for (const auto &level : shared_)
-        sharedView_.push_back(level.get());
-
     cores_.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         if (!emus[i])
             fatal("system: null emulator for core %u", i);
-        MemHierarchy::Attach attach;
-        attach.backend = shared_[0].get();
-        attach.shared = sharedView_;
-        attach.bus = &bus_;
-        attach.coreId = i;
-        cores_.push_back(
-            std::make_unique<Core>(params_, *emus[i], &attach));
+        cores_.push_back(std::make_unique<Core>(
+            params_, *emus[i],
+            MemHierarchy::Attach{&shared_, &bus_, i}));
     }
 }
 
@@ -119,13 +90,17 @@ System::run()
 SimResult
 System::runUntilRetired(std::uint64_t retired_bound)
 {
-    // Same liveness watchdog as Core::runUntilRetired, on aggregate
-    // retirement: bus penalties only delay accesses, they cannot
-    // deadlock, so a system-wide retirement gap is still a bug.
+    // Liveness watchdog on aggregate retirement: the longest
+    // legitimate retirement gap is a memory-latency chain, orders of
+    // magnitude under this bound, and bus penalties only delay
+    // accesses. A rename/retire or coherence deadlock should fail
+    // loudly, not spin to maxCycles.
     constexpr Cycle RetireGapBound = 100'000;
     std::uint64_t last_retired = totalRetired();
     Cycle last_progress = now_;
 
+    // Periodic counter sampling for traces (--trace-sample), read
+    // once per call: purely observational, never part of CoreParams.
     const std::uint64_t sample_interval =
         obs::Tracer::instance().enabled()
             ? obs::Tracer::instance().cycleSampleInterval()
@@ -170,7 +145,7 @@ System::result() const
     SimResult agg;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         SimResult c = cores_[i]->result();
-        // A lone core reports itself in slot 0; remap to this core's
+        // Each core reports itself in slot 0; remap to its own
         // slot (deep cores aggregate into the last one) and keep the
         // per-core arrays out of the whole-machine sum.
         const std::uint64_t core_cycles = c.coreCycles[0];
@@ -188,14 +163,14 @@ System::result() const
     // cores' clocks.
     agg.cycles = now_;
 
-    // The shared stack, accounted once (attached cores report only
-    // their private L1s). Stack index 0 is machine level 2 (the L2);
-    // deeper levels aggregate into the "l3" slot.
-    agg.l2Misses = shared_[0]->misses();
-    for (std::size_t i = 0; i < shared_.size(); ++i) {
+    // The shared stack, accounted once (the cores report only their
+    // private L1s). Stack index 0 is machine level 2 (the L2); deeper
+    // levels aggregate into the "l3" slot.
+    agg.l2Misses = shared_.level(0).misses();
+    for (std::size_t i = 0; i < shared_.numLevels(); ++i) {
         const unsigned slot = static_cast<unsigned>(
             std::min<std::size_t>(i + 2, NumMemStatLevels - 1));
-        const Cache &c = *shared_[i];
+        const Cache &c = shared_.level(i);
         agg.memHits[slot] += c.hits();
         agg.memMshrMerges[slot] += c.mshrMerges();
         agg.memWritebacks[slot] += c.writebacks();

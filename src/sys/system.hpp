@@ -19,11 +19,11 @@
  * A finished core freezes (its coreCycles slot records its own
  * completion time); the system runs until every core has exited.
  *
- * Every detailed run is a System, single-core runs included (the
- * harness and the interval engine build nothing else). A 1-core
- * System is cycle-identical to a bare Core by construction: the bus's
- * single-core paths all charge zero penalty, and the shared stack is
- * assembled with exactly the single-core hierarchy's logic.
+ * Every detailed run is a System, single-core runs included: the
+ * System is the only owner and driver of Cores, and runUntilRetired()
+ * is the one run loop (watchdog and --trace-sample included). On one
+ * core the bus's paths all charge zero penalty, so a 1-core System
+ * models the paper's single-core machine.
  */
 #pragma once
 
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "coherence/mesi.hpp"
-#include "mem/main_memory.hpp"
+#include "mem/hierarchy.hpp"
 #include "uarch/core.hpp"
 
 namespace reno
@@ -57,8 +57,11 @@ class System
      * Run until the cores' aggregate retired-instruction count (the
      * sum over every core, cumulative since construction) reaches
      * @p retired_bound, every core finishes, or the cycle limit.
-     * Sampled simulation chops multi-core measurement windows at
-     * aggregate-retirement boundaries with this.
+     * Sampled simulation delimits its warmup and measurement windows
+     * with this: stats are monotonic counters, so a window's
+     * contribution is the difference of result() snapshots at its
+     * bounds. May overshoot the bound by up to one commit group per
+     * core; the caller reads the exact count from result().
      */
     SimResult runUntilRetired(std::uint64_t retired_bound);
 
@@ -79,14 +82,10 @@ class System
      *  window; see src/sample/warmup.hpp). */
     CoherenceBus &bus() { return bus_; }
 
-    /** The shared stack under the private L1s, nearest (L2) first;
-     *  mutable for warm-state injection. */
-    std::size_t numSharedLevels() const { return shared_.size(); }
-    Cache &sharedLevel(std::size_t i) { return *shared_[i]; }
-    const Cache &sharedLevel(std::size_t i) const
-    {
-        return *shared_[i];
-    }
+    /** The shared stack under the private L1s; mutable for
+     *  warm-state injection. */
+    SharedStack &sharedStack() { return shared_; }
+    const SharedStack &sharedStack() const { return shared_; }
 
     /**
      * Aggregate result: whole-machine counters are the sum over the
@@ -101,9 +100,7 @@ class System
     std::uint64_t totalRetired() const;
 
     CoreParams params_;
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    std::vector<const Cache *> sharedView_;
+    SharedStack shared_;
     CoherenceBus bus_;
     std::vector<std::unique_ptr<Core>> cores_;
     Cycle now_ = 0;

@@ -55,31 +55,14 @@ class Core
 {
   public:
     /**
-     * @param attach  non-null inside a System -- every harness and
-     *                sampled run -- where the core builds only its
-     *                private L1s and bpred stack over the System's
-     *                shared hierarchy and coherence bus; null for a
-     *                standalone core owning its whole hierarchy
-     *                (unit tests, examples).
+     * A core of a System: it builds only its private L1s and bpred
+     * stack, over the System's shared stack and coherence bus named
+     * by @p attach. The System constructs its cores and drives them.
      */
     Core(const CoreParams &params, Emulator &emu,
-         const MemHierarchy::Attach *attach = nullptr);
+         const MemHierarchy::Attach &attach);
 
-    /** Run to program completion (or the cycle limit). */
-    SimResult run();
-
-    /**
-     * Run until at least @p retired_bound instructions have retired,
-     * the program completes, or the cycle limit is reached. Sampled
-     * simulation uses this to delimit warmup and measurement windows:
-     * stats are monotonic counters, so a window's contribution is the
-     * difference of result() snapshots at its bounds. May overshoot
-     * the bound by up to commitWidth-1 instructions (one commit
-     * group); the caller reads the exact count from result().
-     */
-    SimResult runUntilRetired(std::uint64_t retired_bound);
-
-    /** Advance one cycle (exposed for tests). */
+    /** Advance one cycle. */
     void tick();
 
     bool finished() const { return state_.finished; }
@@ -96,7 +79,9 @@ class Core
         commit_.setListener(listener);
     }
 
-    /** Current result snapshot (valid mid-run too). */
+    /** This core's counters (valid mid-run too): its private L1s
+     *  only, per-core totals in slot 0. System::result() remaps the
+     *  slot and adds the shared stack and the bus. */
     SimResult result() const;
 
     /** The pipeline's named stat registry (live counters). */
@@ -112,10 +97,8 @@ class Core
     const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
     /** Emit every pipeline counter as one trace counter sample on
-     *  this core's lane ("core<i>.stats" inside a System, "core.stats"
-     *  for a bare Core). run()/runUntilRetired() call it on the
-     *  --trace-sample interval; a System drives it directly from its
-     *  own loop. */
+     *  this core's "core<i>.stats" lane. The System calls it on the
+     *  --trace-sample interval. */
     void sampleStatsCounter();
 
   private:

@@ -10,32 +10,13 @@
 
 #include "asm/assembler.hpp"
 #include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "run_kernel.hpp"
+#include "sys/system.hpp"
 
 using namespace reno;
 
 namespace
 {
-
-/** Assemble + run on the core; returns (result, emulator output). */
-struct CoreRun {
-    SimResult sim;
-    std::string output;
-    std::uint64_t memDigest;
-};
-
-CoreRun
-runOnCore(const std::string &src, const CoreParams &params)
-{
-    const Program prog = assemble(src);
-    Emulator emu(prog);
-    Core core(params, emu);
-    CoreRun out;
-    out.sim = core.run();
-    out.output = emu.output();
-    out.memDigest = emu.memory().digest();
-    return out;
-}
 
 std::string
 independentAddsLoop(int unroll)
@@ -70,7 +51,7 @@ const char *const exitOnly = "  li v0, 0\n  li a0, 0\n  syscall\n";
 TEST(Core, IndependentOpsReachIssueWidth)
 {
     CoreParams p;  // 3 int issue slots
-    const CoreRun r = runOnCore(independentAddsLoop(8), p);
+    const RunOutput r = runKernel(independentAddsLoop(8), p);
     EXPECT_GT(r.sim.ipc(), 2.3) << "independent adds should flow at "
                                    "nearly the integer issue width";
 }
@@ -81,7 +62,7 @@ TEST(Core, DependentChainSerializes)
     // the dependence chain, not the 3-wide integer issue, sets IPC
     // (7 instructions over ~5 chain cycles).
     CoreParams p;
-    const CoreRun r = runOnCore(dependentChain, p);
+    const RunOutput r = runKernel(dependentChain, p);
     EXPECT_LT(r.sim.ipc(), 1.5);
     EXPECT_GT(r.sim.ipc(), 0.8);
 }
@@ -90,22 +71,22 @@ TEST(Core, TwoCycleSchedulerSlowsDependentChains)
 {
     CoreParams fast, slow;
     slow.schedLoop = 2;
-    const CoreRun f = runOnCore(dependentChain, fast);
-    const CoreRun s = runOnCore(dependentChain, slow);
+    const RunOutput f = runKernel(dependentChain, fast);
+    const RunOutput s = runKernel(dependentChain, slow);
     EXPECT_GT(s.sim.cycles, f.sim.cycles * 3 / 2)
         << "back-to-back dependent ops take 2 cycles each";
     // Independent work is much less affected.
-    const CoreRun fi = runOnCore(independentAddsLoop(8), fast);
-    const CoreRun si = runOnCore(independentAddsLoop(8), slow);
+    const RunOutput fi = runKernel(independentAddsLoop(8), fast);
+    const RunOutput si = runKernel(independentAddsLoop(8), slow);
     EXPECT_LT(si.sim.cycles, fi.sim.cycles * 5 / 4);
 }
 
 TEST(Core, SixWideBeatsfourWideOnParallelCode)
 {
-    const CoreRun w4 = runOnCore(independentAddsLoop(12),
-                                 CoreParams::fourWide());
-    const CoreRun w6 = runOnCore(independentAddsLoop(12),
-                                 CoreParams::sixWide());
+    const RunOutput w4 = runKernel(independentAddsLoop(12),
+                                   CoreParams::fourWide());
+    const RunOutput w6 = runKernel(independentAddsLoop(12),
+                                   CoreParams::sixWide());
     EXPECT_LT(w6.sim.cycles, w4.sim.cycles);
 }
 
@@ -135,8 +116,8 @@ TEST(Core, MispredictionsCostCycles)
         "  bne s2, loop\n"
         "  li v0, 0\n  li a0, 0\n  syscall\n";
     CoreParams p;
-    const CoreRun u = runOnCore(unpredictable, p);
-    const CoreRun d = runOnCore(predictable, p);
+    const RunOutput u = runKernel(unpredictable, p);
+    const RunOutput d = runKernel(predictable, p);
     EXPECT_GT(u.sim.bpMispredicts, d.sim.bpMispredicts + 1000);
     EXPECT_GT(u.sim.cycles, d.sim.cycles + 4000)
         << "~1400 mispredicts at >= ~8 cycles each";
@@ -167,8 +148,8 @@ TEST(Core, CacheMissesCostCycles)
         "  bne s1, loop\n"
         "  li v0, 0\n  li a0, 0\n  syscall\n";
     CoreParams p;
-    const CoreRun b = runOnCore(big, p);
-    const CoreRun s = runOnCore(small, p);
+    const RunOutput b = runKernel(big, p);
+    const RunOutput s = runKernel(small, p);
     EXPECT_GT(b.sim.dcacheMisses, 7000u);
     EXPECT_LT(s.sim.dcacheMisses, 300u);
 }
@@ -250,7 +231,7 @@ loop:
 
     CoreParams params;
     params.reno = GetParam().config;
-    const CoreRun run = runOnCore(src, params);
+    const RunOutput run = runKernel(src, params);
 
     EXPECT_EQ(run.output, ref.output());
     EXPECT_EQ(run.memDigest, ref.memory().digest());
@@ -278,7 +259,7 @@ TEST_P(CoreEquivalence, SmallRegisterFileStillCorrect)
     const Program prog = assemble(src);
     Emulator ref(prog);
     ref.run();
-    const CoreRun run = runOnCore(src, params);
+    const RunOutput run = runKernel(src, params);
     EXPECT_EQ(run.output, ref.output());
 }
 
@@ -301,8 +282,8 @@ TEST(CoreReno, EliminationImprovesRenoFriendlyLoop)
     CoreParams base;
     CoreParams reno;
     reno.reno = RenoConfig::full();
-    const CoreRun b = runOnCore(src, base);
-    const CoreRun r = runOnCore(src, reno);
+    const RunOutput b = runKernel(src, base);
+    const RunOutput r = runKernel(src, reno);
     EXPECT_LT(r.sim.cycles, b.sim.cycles);
     EXPECT_GT(r.sim.elimFraction(), 0.3);
 }
@@ -311,7 +292,7 @@ TEST(CoreReno, EliminatedInstructionsStillRetire)
 {
     CoreParams reno;
     reno.reno = RenoConfig::full();
-    const CoreRun r = runOnCore(
+    const RunOutput r = runKernel(
         "  mov t0, s0\n  mov t1, t0\n" + std::string(exitOnly), reno);
     EXPECT_EQ(r.sim.retired, 5u);
 }
@@ -333,8 +314,8 @@ TEST(CoreReno, FusionPenaltyAblationCostsCycles)
     free_fusion.reno = RenoConfig::meCf();
     CoreParams slow_fusion = free_fusion;
     slow_fusion.freeAddAddFusion = false;
-    const CoreRun f = runOnCore(src, free_fusion);
-    const CoreRun s = runOnCore(src, slow_fusion);
+    const RunOutput f = runKernel(src, free_fusion);
+    const RunOutput s = runKernel(src, slow_fusion);
     EXPECT_GT(s.sim.cycles, f.sim.cycles);
 }
 
@@ -354,8 +335,8 @@ TEST(CoreReno, ShiftFusionAlwaysPaysACycle)
     CoreParams mecf;
     mecf.reno = RenoConfig::meCf();
     CoreParams base;
-    const CoreRun r = runOnCore(src, mecf);
-    const CoreRun b = runOnCore(src, base);
+    const RunOutput r = runKernel(src, mecf);
+    const RunOutput b = runKernel(src, base);
     // Still correct and still profitable or neutral overall.
     EXPECT_GT(r.sim.elimFraction(), 0.1);
     (void)b;
@@ -398,7 +379,7 @@ loop:
     ref.run();
     CoreParams p;
     p.reno = RenoConfig::full();
-    const CoreRun r = runOnCore(src, p);
+    const RunOutput r = runKernel(src, p);
     EXPECT_EQ(r.output, ref.output());
     EXPECT_GT(r.sim.violationSquashes, 0u);
 }
@@ -438,7 +419,7 @@ loop:
     ref.run();
     CoreParams p;
     p.reno = RenoConfig::full();
-    const CoreRun r = runOnCore(src, p);
+    const RunOutput r = runKernel(src, p);
     EXPECT_EQ(r.output, ref.output());
 }
 
@@ -455,13 +436,13 @@ TEST(Core, SyscallsSerializeButStayCorrect)
     const Program prog = assemble(src);
     Emulator ref(prog);
     ref.run();
-    const CoreRun r = runOnCore(src, CoreParams{});
+    const RunOutput r = runKernel(src, CoreParams{});
     EXPECT_EQ(r.output, ref.output());
 }
 
 TEST(Core, TrivialProgramFinishes)
 {
-    const CoreRun r = runOnCore(exitOnly, CoreParams{});
+    const RunOutput r = runKernel(exitOnly, CoreParams{});
     EXPECT_EQ(r.sim.retired, 3u);
     EXPECT_GT(r.sim.cycles, 0u);
     EXPECT_LT(r.sim.cycles, 400u);
@@ -471,10 +452,10 @@ TEST(Core, ResultSnapshotConsistent)
 {
     const Program prog = assemble(exitOnly);
     Emulator emu(prog);
-    Core core(CoreParams{}, emu);
-    const SimResult r = core.run();
-    EXPECT_EQ(r.retired, core.result().retired);
-    EXPECT_TRUE(core.finished());
+    System sys(CoreParams{}, {&emu});
+    const SimResult r = sys.run();
+    EXPECT_EQ(r.retired, sys.core(0).result().retired);
+    EXPECT_TRUE(sys.core(0).finished());
 }
 
 TEST(CoreDeath, TooFewPregsRejected)
@@ -483,6 +464,6 @@ TEST(CoreDeath, TooFewPregsRejected)
     Emulator emu(prog);
     CoreParams p;
     p.numPregs = 16;
-    EXPECT_EXIT((Core{p, emu}), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT((System{p, {&emu}}), ::testing::ExitedWithCode(1),
                 "numPregs");
 }

@@ -6,10 +6,9 @@
  */
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
 #include "cpa/critpath.hpp"
-#include "uarch/core.hpp"
-#include "emu/emulator.hpp"
+#include "run_kernel.hpp"
+#include "uarch/dyninst.hpp"
 
 using namespace reno;
 
@@ -42,14 +41,9 @@ retiredInst(InstSeq seq, Cycle f, Cycle i, Cycle e, Cycle c,
 std::array<double, NumCpBuckets>
 runCritpath(const std::string &src, const CoreParams &params)
 {
-    const Program prog = assemble(src);
-    Emulator emu(prog);
-    Core core(params, emu);
     CriticalPathAnalyzer cpa(1'000'000, params.robEntries,
                              params.iqEntries);
-    core.setRetireListener(&cpa);
-    core.run();
-    cpa.finish();
+    runKernel(src, params, &cpa);
     return cpa.breakdown();
 }
 

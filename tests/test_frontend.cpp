@@ -7,30 +7,12 @@
  */
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
-#include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "run_kernel.hpp"
 
 using namespace reno;
 
 namespace
 {
-
-struct CoreRun {
-    SimResult sim;
-};
-
-CoreRun
-runOnCore(const std::string &src, const CoreParams &params)
-{
-    const Program prog = assemble(src);
-    Emulator emu(prog);
-    Core core(params, emu);
-    CoreRun out;
-    out.sim = core.run();
-    EXPECT_TRUE(core.finished());
-    return out;
-}
 
 /** A loop of @p body_adds independent adds (one taken branch each
  *  iteration), running @p iters iterations. */
@@ -71,7 +53,7 @@ TEST(Frontend, FetchSustainsOneTakenBranchPerCycle)
     // The fetch engine can fetch past one taken branch per cycle
     // (paper section 4.1), so even a 3-instruction loop body keeps
     // the 3-wide integer issue as the binding limit, not fetch.
-    const CoreRun tiny = runOnCore(addLoop(1, 2000), CoreParams{});
+    const RunOutput tiny = runKernel(addLoop(1, 2000), CoreParams{});
     EXPECT_GT(tiny.sim.ipc(), 2.5)
         << "a tight loop should run near the integer issue width";
     EXPECT_LE(tiny.sim.ipc(), 3.1)
@@ -80,7 +62,7 @@ TEST(Frontend, FetchSustainsOneTakenBranchPerCycle)
 
 TEST(Frontend, RandomBranchesMispredictAboutHalfTheTime)
 {
-    const CoreRun r = runOnCore(random_branch_loop, CoreParams{});
+    const RunOutput r = runKernel(random_branch_loop, CoreParams{});
     // 2000 data-random conditional branches plus 2000+1 predictable
     // loop branches: mispredict rate on the random ones ~50%.
     EXPECT_GT(r.sim.bpMispredicts, 600u);
@@ -106,8 +88,8 @@ loop:
         li   a0, 0
         syscall
 )";
-    const CoreRun random = runOnCore(random_branch_loop, CoreParams{});
-    const CoreRun clean = runOnCore(branchless_loop, CoreParams{});
+    const RunOutput random = runKernel(random_branch_loop, CoreParams{});
+    const RunOutput clean = runKernel(branchless_loop, CoreParams{});
     ASSERT_GT(random.sim.bpMispredicts, 500u);
     const double penalty =
         double(random.sim.cycles - clean.sim.cycles) /
@@ -122,8 +104,8 @@ TEST(Frontend, DeeperFrontEndAmplifiesMispredictCost)
     CoreParams shallow;
     CoreParams deep;
     deep.frontDepth = 10;  // vs default 4
-    const CoreRun s = runOnCore(random_branch_loop, shallow);
-    const CoreRun d = runOnCore(random_branch_loop, deep);
+    const RunOutput s = runKernel(random_branch_loop, shallow);
+    const RunOutput d = runKernel(random_branch_loop, deep);
     EXPECT_GT(d.sim.cycles, s.sim.cycles)
         << "a deeper front end pays more per misprediction";
 }
@@ -152,7 +134,7 @@ skip:
         li   a0, 0
         syscall
 )";
-    const CoreRun r = runOnCore(slow_cond, CoreParams{});
+    const RunOutput r = runKernel(slow_cond, CoreParams{});
     ASSERT_GT(r.sim.bpMispredicts, 50u);
     // Each mispredicted beq waits for the divide (multi-cycle) before
     // redirect: the loop cannot sustain anything close to 1 iteration
@@ -165,8 +147,8 @@ TEST(Frontend, LargeCodeFootprintMissesInstructionCache)
 {
     // ~3000 straight-line instructions = ~12KB of code re-entered
     // repeatedly fits the 16KB I$; ~24KB does not.
-    const CoreRun small = runOnCore(addLoop(1000, 40), CoreParams{});
-    const CoreRun big = runOnCore(addLoop(6000, 40), CoreParams{});
+    const RunOutput small = runKernel(addLoop(1000, 40), CoreParams{});
+    const RunOutput big = runKernel(addLoop(6000, 40), CoreParams{});
     const double small_mr =
         double(small.sim.icacheMisses) / double(small.sim.retired);
     const double big_mr =
@@ -182,8 +164,8 @@ TEST(Frontend, RenoDoesNotChangeFetchBehavior)
     CoreParams base;
     CoreParams reno;
     reno.reno = RenoConfig::full();
-    const CoreRun b = runOnCore(addLoop(6, 500), base);
-    const CoreRun r = runOnCore(addLoop(6, 500), reno);
+    const RunOutput b = runKernel(addLoop(6, 500), base);
+    const RunOutput r = runKernel(addLoop(6, 500), reno);
     EXPECT_EQ(b.sim.bpLookups, r.sim.bpLookups);
     EXPECT_EQ(b.sim.bpMispredicts, r.sim.bpMispredicts);
     EXPECT_EQ(b.sim.retired, r.sim.retired);

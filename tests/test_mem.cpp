@@ -569,8 +569,8 @@ TEST(Hierarchy, ThreeLevelStackAddsL3Latency)
 {
     MemHierarchy two;
     MemHierarchy three{threeLevelParams()};
-    EXPECT_EQ(three.numSharedLevels(), 2u);
-    EXPECT_EQ(three.sharedLevel(1).name(), "l3");
+    EXPECT_EQ(three.sharedStack().numLevels(), 2u);
+    EXPECT_EQ(three.sharedStack().level(1).name(), "l3");
 
     // The cold path through the deeper stack pays the extra level on
     // both the request and the response leg.
@@ -580,11 +580,12 @@ TEST(Hierarchy, ThreeLevelStackAddsL3Latency)
 
     // The 32B neighbor misses the D$ but hits the shared stack
     // without another memory trip.
-    const std::uint64_t mem_reads = three.memory().reads();
+    const MainMemory &memory = three.sharedStack().memory();
+    const std::uint64_t mem_reads = memory.reads();
     const Cycle warm = three.dataAccess(0x10020, cold3, false);
     EXPECT_EQ(warm, cold3 + 2 + 10 + 2)
         << "D$ miss, L2 hit (same 64B block)";
-    EXPECT_EQ(three.memory().reads(), mem_reads);
+    EXPECT_EQ(memory.reads(), mem_reads);
 }
 
 TEST(Hierarchy, DepthMismatchedStateIsRejected)
@@ -610,7 +611,7 @@ TEST(Hierarchy, ThreeLevelStateRoundTrip)
     ASSERT_TRUE(b.importState(a.exportState()));
     EXPECT_TRUE(b.dcacheProbe(0x4000));
     EXPECT_TRUE(b.l2Probe(0x4000));
-    EXPECT_TRUE(b.sharedLevel(1).probe(0x4000));
+    EXPECT_TRUE(b.sharedStack().level(1).probe(0x4000));
     // The imported stride table continues the learned pattern: the
     // next in-stride access prefetches in b exactly as it would in a.
     b.settle();
@@ -632,7 +633,7 @@ TEST(Hierarchy, ModelWritebacksDrainsDirtyVictimsToMemory)
     t = mem.dataAccess(0x40, t, false);           // evicts it (set 0)
     EXPECT_EQ(mem.dcache().writebacks(), 1u);
     // The victim lands in the L2 (which holds the block), not memory.
-    EXPECT_EQ(mem.memory().writebacks(), 0u);
+    EXPECT_EQ(mem.sharedStack().memory().writebacks(), 0u);
 
     // Force it all the way out: flush the L2 so the drain forwards.
     MemHierarchy::Params deep = params;
@@ -645,7 +646,8 @@ TEST(Hierarchy, ModelWritebacksDrainsDirtyVictimsToMemory)
     t = small.dataAccess(0x40, t, false);
     t = small.dataAccess(0x80, t, false);
     t = small.dataAccess(0xc0, t, false);
-    EXPECT_GT(small.dcache().writebacks() + small.l2().writebacks(),
+    EXPECT_GT(small.dcache().writebacks() +
+                  small.sharedStack().level(0).writebacks(),
               0u);
 }
 
@@ -742,8 +744,8 @@ replaySeededStream(MemHierarchy &mem)
             state.update(std::uint64_t{e.confidence});
         }
     }
-    counters.update(mem.memory().reads());
-    counters.update(mem.memory().writebacks());
+    counters.update(mem.sharedStack().memory().reads());
+    counters.update(mem.sharedStack().memory().writebacks());
     out.counters = counters.value();
     out.state = state.value();
     return out;
@@ -766,7 +768,7 @@ TEST(CacheTimingGolden, SeededStreamMatchesFrozenDigests)
 
     EXPECT_GT(mem.dcache().prefetchIssued(), 0u);
     EXPECT_GT(mem.dcache().writebacks(), 0u);
-    EXPECT_GT(mem.memory().writebacks(), 0u);
+    EXPECT_GT(mem.sharedStack().memory().writebacks(), 0u);
     EXPECT_EQ(got.ready, 0x026fbb22de2a6dadULL);
     EXPECT_EQ(got.counters, 0x2caa12931e8e090aULL);
     EXPECT_EQ(got.state, 0xe6ec5547409c00bcULL);

@@ -7,35 +7,12 @@
  */
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
-#include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "run_kernel.hpp"
 
 using namespace reno;
 
 namespace
 {
-
-struct CoreRun {
-    SimResult sim;
-    std::string output;
-    std::string refOutput;
-};
-
-CoreRun
-runOnCore(const std::string &src, const CoreParams &params)
-{
-    const Program prog = assemble(src);
-    Emulator ref(prog);
-    ref.run();
-    Emulator emu(prog);
-    Core core(params, emu);
-    CoreRun out;
-    out.sim = core.run();
-    out.output = emu.output();
-    out.refOutput = ref.output();
-    return out;
-}
 
 /**
  * A loop where a store's address depends on slow work (a divide) and
@@ -116,15 +93,15 @@ loop:
 TEST(MemDep, OutputAlwaysMatchesFunctionalReference)
 {
     for (const char *src : {conflict_loop, two_store_loop}) {
-        const CoreRun r = runOnCore(src, CoreParams{});
-        EXPECT_EQ(r.output, r.refOutput)
+        const RunOutput r = runKernel(src, CoreParams{});
+        EXPECT_EQ(r.output, runFunctional({"kernel", "test", src}).output)
             << "violation replay must preserve architectural state";
     }
 }
 
 TEST(MemDep, StoreSetsLearnAfterFewViolations)
 {
-    const CoreRun r = runOnCore(conflict_loop, CoreParams{});
+    const RunOutput r = runKernel(conflict_loop, CoreParams{});
     // 500 iterations: an unlearned predictor would violate on nearly
     // every one. Learning must cap the squashes at a handful.
     EXPECT_LT(r.sim.violationSquashes, 10u);
@@ -134,8 +111,9 @@ TEST(MemDep, StoreSetsLearnAfterFewViolations)
 
 TEST(MemDep, OlderUnissuedSameSetStoreStillBlocksLoad)
 {
-    const CoreRun r = runOnCore(two_store_loop, CoreParams{});
-    EXPECT_EQ(r.output, r.refOutput);
+    const RunOutput r = runKernel(two_store_loop, CoreParams{});
+    EXPECT_EQ(r.output,
+              runFunctional({"kernel", "test", two_store_loop}).output);
     // Regression: with the last-fetched-store-only check, the younger
     // store's issue unhid the older one and the load violated every
     // iteration (hundreds of squashes).
@@ -166,7 +144,7 @@ loop:
         li   a0, 0
         syscall
 )";
-    const CoreRun r = runOnCore(src, CoreParams{});
+    const RunOutput r = runKernel(src, CoreParams{});
     EXPECT_EQ(r.sim.violationSquashes, 0u);
 }
 
@@ -175,8 +153,8 @@ TEST(MemDep, ViolationSquashRollsBackRenoState)
     CoreParams p;
     p.reno = RenoConfig::full();
     for (const char *src : {conflict_loop, two_store_loop}) {
-        const CoreRun r = runOnCore(src, p);
-        EXPECT_EQ(r.output, r.refOutput)
+        const RunOutput r = runKernel(src, p);
+        EXPECT_EQ(r.output, runFunctional({"kernel", "test", src}).output)
             << "squash must roll back map table and reference counts";
     }
 }

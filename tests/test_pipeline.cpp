@@ -2,9 +2,9 @@
  * @file
  * Pipeline-subsystem tests: golden byte-identity of full SimResult
  * vectors against the pre-refactor monolithic core (squash/replay
- * included) on both a bare Core and the harness's 1-core System,
- * stall-counter attribution per back-pressured resource,
- * StatSet snapshot/delta algebra as used by the sampling windows,
+ * included) on the harness's 1-core System, stall-counter
+ * attribution per back-pressured resource, StatSet snapshot/delta
+ * algebra as used by the sampling windows,
  * instruction-arena recycling, and a frozen schedule digest: every
  * retired instruction's rename/issue/complete/retire cycles and
  * critical-path attribution over every suite, plus every counter and
@@ -27,9 +27,9 @@
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
 #include "obs/cpistack.hpp"
+#include "run_kernel.hpp"
 #include "sweep/thread_pool.hpp"
 #include "sys/system.hpp"
-#include "uarch/core.hpp"
 #include "uarch/dyninst.hpp"
 #include "uarch/retire_listener.hpp"
 #include "workloads/workloads.hpp"
@@ -38,15 +38,6 @@ using namespace reno;
 
 namespace
 {
-
-SimResult
-runProgram(const std::string &src, const CoreParams &params)
-{
-    const Program prog = assemble(src);
-    Emulator emu(prog);
-    Core core(params, emu);
-    return core.run();
-}
 
 const char *const exitOnly = "  li v0, 0\n  li a0, 0\n  syscall\n";
 
@@ -252,9 +243,8 @@ expectResultEq(const SimResult &got, const SimResult &want,
 }
 
 /**
- * Check one golden case on both detailed paths: a bare Core, and the
- * harness's 1-core System (runWorkload), which must also report no
- * coherence traffic.
+ * Check one golden case on the harness's 1-core System (runWorkload),
+ * which must also report no coherence traffic.
  */
 void
 expectGolden(const char *src, const RenoConfig &config,
@@ -262,8 +252,6 @@ expectGolden(const char *src, const RenoConfig &config,
 {
     CoreParams p;
     p.reno = config;
-    expectResultEq(runProgram(src, p), golden.expect, golden.name);
-
     const Workload w{golden.name, "test", src, 1};
     const SimResult sys = runWorkload(w, p).sim;
     const std::string label = std::string(golden.name) + " (System)";
@@ -313,7 +301,7 @@ TEST(PipelineStalls, RobPressureChargedToStallRob)
     CoreParams p;
     p.robEntries = 8;
     p.iqEntries = 50;
-    const SimResult r = runProgram(src, p);
+    const SimResult r = runKernel(src, p).sim;
     EXPECT_GT(r.stallRob, 0u);
     EXPECT_EQ(r.stallIq, 0u)
         << "the ROB (8) fills before the issue queue (50) can";
@@ -334,7 +322,7 @@ TEST(PipelineStalls, IqPressureChargedToStallIq)
         "  li v0, 0\n  li a0, 0\n  syscall\n";
     CoreParams p;
     p.iqEntries = 4;
-    const SimResult r = runProgram(src, p);
+    const SimResult r = runKernel(src, p).sim;
     EXPECT_GT(r.stallIq, 0u);
     EXPECT_EQ(r.stallRob, 0u);
 }
@@ -354,7 +342,7 @@ TEST(PipelineStalls, PregPressureChargedToStallPregs)
         "  li v0, 0\n  li a0, 0\n  syscall\n";
     CoreParams p;
     p.numPregs = NumLogRegs + 2;
-    const SimResult r = runProgram(src, p);
+    const SimResult r = runKernel(src, p).sim;
     EXPECT_GT(r.stallPregs, 0u);
 }
 
@@ -373,7 +361,7 @@ TEST(PipelineStalls, StoreQueuePressureChargedToStallLsq)
         "  li v0, 0\n  li a0, 0\n  syscall\n";
     CoreParams p;
     p.sqEntries = 2;
-    const SimResult r = runProgram(src, p);
+    const SimResult r = runKernel(src, p).sim;
     EXPECT_GT(r.stallLsq, 0u);
 }
 
@@ -459,10 +447,10 @@ TEST(PipelineStatSet, CoreExposesNamedRegistry)
     Emulator emu(prog);
     CoreParams p;
     p.reno = RenoConfig::full();
-    Core core(p, emu);
-    const SimResult r = core.run();
+    System sys(p, {&emu});
+    const SimResult r = sys.run();
 
-    const StatSet &stats = core.stats();
+    const StatSet &stats = sys.core(0).stats();
     EXPECT_EQ(stats.value("retired"), r.retired);
     EXPECT_EQ(stats.value("retired_loads"), r.retiredLoads);
     EXPECT_EQ(stats.value("retired_stores"), r.retiredStores);
@@ -484,16 +472,17 @@ TEST(PipelineStatSet, WindowDeltasMatchFullRun)
     Emulator emu(prog);
     CoreParams p;
     p.reno = RenoConfig::full();
-    Core core(p, emu);
+    System sys(p, {&emu});
+    const StatSet &stats = sys.core(0).stats();
 
-    const StatSnapshot s0 = core.stats().snapshot();
-    const SimResult r0 = core.result();
-    core.runUntilRetired(3000);
-    const StatSnapshot s1 = core.stats().snapshot();
-    const SimResult r1 = core.result();
-    core.run();
-    const StatSnapshot s2 = core.stats().snapshot();
-    const SimResult r2 = core.result();
+    const StatSnapshot s0 = stats.snapshot();
+    const SimResult r0 = sys.result();
+    sys.runUntilRetired(3000);
+    const StatSnapshot s1 = stats.snapshot();
+    const SimResult r1 = sys.result();
+    sys.run();
+    const StatSnapshot s2 = stats.snapshot();
+    const SimResult r2 = sys.result();
 
     StatSnapshot sum;
     sum.accumulate(s1.delta(s0));
@@ -516,10 +505,10 @@ TEST(PipelineArena, RecyclesInsteadOfGrowing)
     Emulator emu(prog);
     CoreParams p;
     p.reno = RenoConfig::full();
-    Core core(p, emu);
-    const SimResult r = core.run();
+    System sys(p, {&emu});
+    const SimResult r = sys.run();
     EXPECT_GT(r.retired, 10000u);
-    EXPECT_EQ(core.machineState().arena.slabCount(), 1u);
+    EXPECT_EQ(sys.core(0).machineState().arena.slabCount(), 1u);
 }
 
 TEST(PipelineArena, AcquireReturnsResetSlots)
@@ -539,7 +528,7 @@ TEST(PipelineArena, AcquireReturnsResetSlots)
 
 TEST(PipelineFacade, TrivialProgramStillWorks)
 {
-    const SimResult r = runProgram(exitOnly, CoreParams{});
+    const SimResult r = runKernel(exitOnly, CoreParams{}).sim;
     EXPECT_EQ(r.retired, 3u);
     EXPECT_GT(r.cycles, 0u);
 }
@@ -674,7 +663,8 @@ go:
         syscall
 )";
 
-/** Schedule digest of one kernel on a bare Core under @p config. */
+/** Schedule digest of one kernel on a 1-core System under
+ *  @p config. */
 std::uint64_t
 kernelScheduleDigest(const char *src, const RenoConfig &config)
 {
@@ -682,10 +672,10 @@ kernelScheduleDigest(const char *src, const RenoConfig &config)
     Emulator emu(prog);
     CoreParams p;
     p.reno = config;
-    Core core(p, emu);
+    System sys(p, {&emu});
     ScheduleDigest digest;
-    core.setRetireListener(&digest);
-    const SimResult r = core.run();
+    sys.core(0).setRetireListener(&digest);
+    const SimResult r = sys.run();
     digest.fnv.update(r.cycles).update(r.violationSquashes);
     return digest.fnv.value();
 }

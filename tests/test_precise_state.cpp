@@ -18,7 +18,7 @@
 #include "asm/assembler.hpp"
 #include "emu/emulator.hpp"
 #include "reno/renamer.hpp"
-#include "uarch/core.hpp"
+#include "sys/system.hpp"
 
 using namespace reno;
 
@@ -43,8 +43,8 @@ renameOne(RenoRenamer &ren, const Instruction &inst, std::uint64_t result)
     return ren.rename(RenameIn{inst, result});
 }
 
-/** Run @p src both on the emulator and on the core; expect identical
- *  observable behavior (printed output and memory digest). */
+/** Run @p src both on the emulator and on a 1-core System; expect
+ *  identical observable behavior (printed output and memory digest). */
 void
 expectPreciseState(const std::string &src, const CoreParams &params)
 {
@@ -54,8 +54,8 @@ expectPreciseState(const std::string &src, const CoreParams &params)
     ref.run();
 
     Emulator emu(prog);
-    Core core(params, emu);
-    core.run();
+    System sys(params, {&emu});
+    sys.run();
 
     EXPECT_EQ(emu.output(), ref.output());
     EXPECT_EQ(emu.memory().digest(), ref.memory().digest());

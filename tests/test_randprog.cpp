@@ -11,7 +11,7 @@
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
 #include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "sys/system.hpp"
 #include "workloads/randprog.hpp"
 #include "workloads/workloads.hpp"
 
@@ -40,9 +40,9 @@ StateDigest
 coreDigest(const Program &prog, const CoreParams &params)
 {
     Emulator emu(prog);
-    Core core(params, emu);
-    const SimResult r = core.run();
-    EXPECT_TRUE(core.finished());
+    System sys(params, {&emu});
+    const SimResult r = sys.run();
+    EXPECT_TRUE(sys.finished());
     return {emu.output(), emu.memory().digest(), r.retired};
 }
 
@@ -139,10 +139,10 @@ TEST(RandProg, CyclesAreDeterministicAcrossRuns)
     params.reno = RenoConfig::full();
 
     Emulator emu_a(prog);
-    Core core_a(params, emu_a);
+    System sys_a(params, {&emu_a});
     Emulator emu_b(prog);
-    Core core_b(params, emu_b);
-    EXPECT_EQ(core_a.run().cycles, core_b.run().cycles);
+    System sys_b(params, {&emu_b});
+    EXPECT_EQ(sys_a.run().cycles, sys_b.run().cycles);
 }
 
 // ---- phase-switching and pointer-chasing shapes ---------------------

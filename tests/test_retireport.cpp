@@ -10,31 +10,12 @@
  */
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
-#include "emu/emulator.hpp"
-#include "uarch/core.hpp"
+#include "run_kernel.hpp"
 
 using namespace reno;
 
 namespace
 {
-
-struct CoreRun {
-    SimResult sim;
-    std::string output;
-};
-
-CoreRun
-runOnCore(const std::string &src, const CoreParams &params)
-{
-    const Program prog = assemble(src);
-    Emulator emu(prog);
-    Core core(params, emu);
-    CoreRun out;
-    out.sim = core.run();
-    out.output = emu.output();
-    return out;
-}
 
 /** A loop that is nothing but stores: port demand 1 per instruction. */
 std::string
@@ -75,7 +56,7 @@ TEST(RetirePort, StoreOnlyCodeIsPortLimited)
 {
     // 8 stores per iteration + 2 overhead instructions: the single
     // drain port caps retirement near one store per cycle.
-    const CoreRun r = runOnCore(storeOnlyLoop(8, 500), CoreParams{});
+    const RunOutput r = runKernel(storeOnlyLoop(8, 500), CoreParams{});
     const double stores_per_cycle =
         double(r.sim.retiredStores) / double(r.sim.cycles);
     EXPECT_GT(stores_per_cycle, 0.80);
@@ -87,7 +68,7 @@ TEST(RetirePort, SparseStoresDoNotStallCommit)
 {
     // One store per ~13 instructions: the drain queue never fills, so
     // throughput is set by the integer issue width, not the port.
-    const CoreRun r = runOnCore(sparseStoreLoop(12, 500), CoreParams{});
+    const RunOutput r = runKernel(sparseStoreLoop(12, 500), CoreParams{});
     EXPECT_GT(r.sim.ipc(), 2.0);
 }
 
@@ -114,8 +95,8 @@ TEST(RetirePort, BurstWithinQueueCapacityRetiresUnimpeded)
                "  li v0, 0\n  li a0, 0\n  syscall\n";
         return src;
     };
-    const CoreRun with_stores = runOnCore(make(true), CoreParams{});
-    const CoreRun with_adds = runOnCore(make(false), CoreParams{});
+    const RunOutput with_stores = runKernel(make(true), CoreParams{});
+    const RunOutput with_adds = runKernel(make(false), CoreParams{});
     // 12 port operations against 52-instruction iterations (13 issue
     // cycles at 4-wide): the drain queue hides the burst entirely.
     EXPECT_LT(with_stores.sim.cycles,
@@ -141,7 +122,7 @@ TEST(RetirePort, IntegratedLoadsShareThePort)
 
     CoreParams p;
     p.reno = RenoConfig::full();
-    const CoreRun r = runOnCore(src, p);
+    const RunOutput r = runKernel(src, p);
     const std::uint64_t elim_loads = r.sim.elim[3] + r.sim.elim[4];
     EXPECT_GT(elim_loads, 1000u) << "reloads should be bypassed";
     // 2 stores + 2 re-executing loads per iteration = 4 port uses:
@@ -158,6 +139,6 @@ TEST(RetirePort, ExitWithPendingDrainsIsClean)
     for (int i = 0; i < 20; ++i)
         src += "  stq s0, " + std::to_string(i * 8) + "(s1)\n";
     src += "  li v0, 0\n  li a0, 0\n  syscall\n";
-    const CoreRun r = runOnCore(src, CoreParams{});
+    const RunOutput r = runKernel(src, CoreParams{});
     EXPECT_GT(r.sim.retiredStores, 19u);
 }

@@ -38,6 +38,7 @@
 #include "sample/warmup.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/result_cache.hpp"
+#include "sys/system.hpp"
 #include "smc_program.hpp"
 
 using namespace reno;
@@ -51,6 +52,18 @@ baseParams()
 {
     CoreParams p = CoreParams::fourWide();
     p.reno = RenoConfig::baseline();
+    return p;
+}
+
+/** baseParams() over the l3/pf-stride/wb memory variant: a
+ *  three-level shared stack with a stride prefetcher and write-back
+ *  traffic. */
+CoreParams
+deepStackParams()
+{
+    CoreParams p = baseParams();
+    for (const char *token : {"l3", "pf-stride", "wb"})
+        EXPECT_TRUE(applyMemVariant(token, &p)) << token;
     return p;
 }
 
@@ -167,15 +180,11 @@ TEST(Interval, WindowEqualsFullSimulationOverSameRegion)
     const Workload &w = workloadByName("gzip");
     const CoreParams params = baseParams();
 
-    const Program &prog = assembleWorkload(w);
-    Emulator::Options opts;
-    opts.randSeed = w.seed;
-    Emulator emu(prog, opts);
-    Core core(params, emu);
-    core.runUntilRetired(300'000);
-    const SimResult pre = core.result();
-    core.runUntilRetired(305'000);
-    const SimResult full_delta = deltaResult(core.result(), pre);
+    const SpmdEmulators emus(w, 1);
+    System sys(params, emus.cores());
+    const SimResult pre = sys.runUntilRetired(300'000);
+    const SimResult full_delta =
+        deltaResult(sys.runUntilRetired(305'000), pre);
     const std::uint64_t start = pre.retired;
 
     IntervalWindow win;
@@ -777,42 +786,46 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
     // round-robin, so the emulators sit at uneven per-core counts --
     // serializing, decoding, and resuming must reproduce the straight
     // run's final state byte for byte: functional cursors, L1 tags,
-    // shared stack and the MESI directory all ride the encoding.
+    // shared stack and the MESI directory all ride the encoding. Over
+    // the default two-level stack and a three-level one with
+    // prefetching and write-back traffic.
     const Workload &w = workloadByName("gzip");
-    const CoreParams params = baseParams();
+    for (const CoreParams &params : {baseParams(), deepStackParams()}) {
+        for (const unsigned cores : {2u, 4u}) {
+            SCOPED_TRACE(strprintf("%zu shared levels",
+                                   1 + params.mem.extraLevels.size()));
+            const std::uint64_t final_bound = 900 * cores;
+            const std::uint64_t chop = 350 * cores + 1;  // mid-interleave
 
-    for (const unsigned cores : {2u, 4u}) {
-        const std::uint64_t final_bound = 900 * cores;
-        const std::uint64_t chop = 350 * cores + 1;  // mid-interleave
+            const SpmdEmulators straight(w, cores);
+            SysWarmState whole(params.mem, params.bpred, cores);
+            warmStepMulti(straight.cores(), whole, final_bound);
+            const std::string want =
+                CheckpointStore::encode(multiCkpt(straight, whole));
 
-        const SpmdEmulators straight(w, cores);
-        SysWarmState whole(params.mem, params.bpred, cores);
-        warmStepMulti(straight.cores(), whole, final_bound);
-        const std::string want =
-            CheckpointStore::encode(multiCkpt(straight, whole));
+            const SpmdEmulators chopped(w, cores);
+            SysWarmState first(params.mem, params.bpred, cores);
+            warmStepMulti(chopped.cores(), first, chop);
+            const std::string mid =
+                CheckpointStore::encode(multiCkpt(chopped, first));
 
-        const SpmdEmulators chopped(w, cores);
-        SysWarmState first(params.mem, params.bpred, cores);
-        warmStepMulti(chopped.cores(), first, chop);
-        const std::string mid =
-            CheckpointStore::encode(multiCkpt(chopped, first));
+            SampleCheckpoint decoded;
+            ASSERT_TRUE(CheckpointStore::decode(mid, params.mem,
+                                                params.bpred, &decoded,
+                                                cores))
+                << cores << " cores";
 
-        SampleCheckpoint decoded;
-        ASSERT_TRUE(CheckpointStore::decode(mid, params.mem,
-                                            params.bpred, &decoded,
-                                            cores))
-            << cores << " cores";
+            const SpmdEmulators resumed(w, cores);
+            resumed.cores()[0]->restore(*decoded.emu);
+            for (unsigned c = 1; c < cores; ++c)
+                resumed.cores()[c]->restore(*decoded.extraEmus[c - 1]);
+            SysWarmState warm(*decoded.sysWarm);
+            warmStepMulti(resumed.cores(), warm, final_bound);
 
-        const SpmdEmulators resumed(w, cores);
-        resumed.cores()[0]->restore(*decoded.emu);
-        for (unsigned c = 1; c < cores; ++c)
-            resumed.cores()[c]->restore(*decoded.extraEmus[c - 1]);
-        SysWarmState warm(*decoded.sysWarm);
-        warmStepMulti(resumed.cores(), warm, final_bound);
-
-        EXPECT_EQ(CheckpointStore::encode(multiCkpt(resumed, warm)),
-                  want)
-            << cores << " cores: chop/resume diverged";
+            EXPECT_EQ(CheckpointStore::encode(multiCkpt(resumed, warm)),
+                      want)
+                << cores << " cores: chop/resume diverged";
+        }
     }
 }
 
@@ -822,29 +835,34 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
     // checkpoint before the window start is a pure accelerator --
     // every registry stat of the measured window is identical with
     // and without it.
+    // Over the default two-level stack and a three-level one with
+    // prefetching and write-back traffic.
     const Workload &w = workloadByName("adpcm.dec");
-    CoreParams params = baseParams();
-    params.sys.numCores = 2;
     IntervalWindow win;
     win.startInst = 40'000;  // aggregate position over both cores
     win.warmupInsts = 1000;
     win.measureInsts = 4000;
 
-    const SimResult plain = runIntervalDetailed(w, params, win);
+    for (CoreParams params : {baseParams(), deepStackParams()}) {
+        SCOPED_TRACE(strprintf("%zu shared levels",
+                               1 + params.mem.extraLevels.size()));
+        params.sys.numCores = 2;
+        const SimResult plain = runIntervalDetailed(w, params, win);
 
-    CheckpointStore store;
-    storeMultiCkpt(store, w, params, 2, 30'000);
-    const SampleCheckpoint ckpt =
-        store.lookup(w, 30'000, params.mem, params.bpred, 2);
-    ASSERT_TRUE(ckpt.usable());
-    ASSERT_EQ(ckpt.numCores(), 2u);
+        CheckpointStore store;
+        storeMultiCkpt(store, w, params, 2, 30'000);
+        const SampleCheckpoint ckpt =
+            store.lookup(w, 30'000, params.mem, params.bpred, 2);
+        ASSERT_TRUE(ckpt.usable());
+        ASSERT_EQ(ckpt.numCores(), 2u);
 
-    const SimResult via_ckpt =
-        runIntervalDetailed(w, params, win, &ckpt);
-    for (const SimStatField &f : simResultFields()) {
-        EXPECT_EQ(statValue(via_ckpt, f), statValue(plain, f))
-            << "window stat '" << f.name
-            << "' changed under the checkpoint";
+        const SimResult via_ckpt =
+            runIntervalDetailed(w, params, win, &ckpt);
+        for (const SimStatField &f : simResultFields()) {
+            EXPECT_EQ(statValue(via_ckpt, f), statValue(plain, f))
+                << "window stat '" << f.name
+                << "' changed under the checkpoint";
+        }
     }
 }
 

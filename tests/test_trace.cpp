@@ -10,8 +10,8 @@
 
 #include "asm/assembler.hpp"
 #include "emu/emulator.hpp"
+#include "sys/system.hpp"
 #include "trace/pipetrace.hpp"
-#include "uarch/core.hpp"
 
 using namespace reno;
 
@@ -53,11 +53,11 @@ traceRun(const char *source, const RenoConfig &reno,
     Emulator emu(prog);
     CoreParams params;
     params.reno = reno;
-    Core core(params, emu);
+    System sys(params, {&emu});
     PipeTracer tracer(topts);
-    core.setRetireListener(&tracer);
+    sys.core(0).setRetireListener(&tracer);
     TraceRun out;
-    out.sim = core.run();
+    out.sim = sys.run();
     out.records = tracer.records();
     return out;
 }
