@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
@@ -27,28 +25,20 @@ namespace reno
 namespace
 {
 
-bool &
-decodedDefaultFlag()
-{
-    static bool flag = [] {
-        const char *mode = std::getenv("RENO_EMU_MODE");
-        return mode == nullptr || std::string_view{mode} != "interp";
-    }();
-    return flag;
-}
+bool decodedDefault = true;
 
 } // namespace
 
 bool
 defaultDecodedExec()
 {
-    return decodedDefaultFlag();
+    return decodedDefault;
 }
 
 void
 setDefaultDecodedExec(bool decoded)
 {
-    decodedDefaultFlag() = decoded;
+    decodedDefault = decoded;
 }
 
 std::uint64_t

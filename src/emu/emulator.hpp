@@ -34,11 +34,10 @@ namespace reno
 {
 
 /**
- * Process-wide default for Options::decodedExec. Initialized from the
- * RENO_EMU_MODE environment variable ("interp" selects the per-step
- * interpreter, anything else the decoded engine) and overridable by
- * the CLIs' --emu flag. Outputs are bit-exact either way; the decoded
- * engine is simply faster.
+ * Process-wide default for Options::decodedExec: the decoded engine.
+ * The per-step interpreter stays as the reference the decoded engine
+ * is checked against; tests select it here or per emulator. Outputs
+ * are bit-exact either way; the decoded engine is simply faster.
  */
 bool defaultDecodedExec();
 void setDefaultDecodedExec(bool decoded);

@@ -16,7 +16,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/mem_level.hpp"
 #include "mem/prefetcher.hpp"

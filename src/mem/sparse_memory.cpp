@@ -37,7 +37,12 @@ SparseMemory::writeByte(Addr addr, std::uint8_t value)
     getPage(addr)[addr & (PageSize - 1)] = value;
 }
 
-std::uint64_t
+// The decoded emulator calls read() and write() on every load and
+// store, and their speed depends on where they fall within a 64-byte
+// line: an unrelated change elsewhere in the link that moved them by
+// 16 bytes cost about 10% of the functional-run time. Starting each on
+// a line keeps their speed independent of the code around them.
+[[gnu::aligned(64)]] std::uint64_t
 SparseMemory::read(Addr addr, unsigned size) const
 {
     // Fast path: the access lies within one page (one map lookup).
@@ -57,7 +62,7 @@ SparseMemory::read(Addr addr, unsigned size) const
     return value;
 }
 
-void
+[[gnu::aligned(64)]] void
 SparseMemory::write(Addr addr, std::uint64_t value, unsigned size)
 {
     // Fast path: the access lies within one page (one map lookup).

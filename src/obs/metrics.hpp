@@ -5,16 +5,17 @@
  * with count/min/mean/p50/p95/p99/max), serialized as one JSON document
  * (reno-sweep / reno-sample --metrics-json).
  *
- * The registry complements StatSet (common/statset.hpp): StatSet
- * counts *simulated* events inside one core, deterministically;
- * MetricsRegistry records *host-side* behavior of the campaign engine
- * -- job latency, queue wait, pool utilization, cache hit ratio --
- * which is wall-clock-dependent and therefore kept strictly out of
- * every deterministic report.
+ * The registry complements the SimResult field registry
+ * (uarch/sim_result.hpp): SimResult counts *simulated* events,
+ * deterministically; MetricsRegistry records *host-side* behavior of
+ * the campaign engine -- job latency, queue wait, pool utilization,
+ * cache hit ratio -- which is wall-clock-dependent and therefore kept
+ * strictly out of every deterministic report. No simulated count is
+ * published here.
  *
  * Handed-out metric references are stable for the registry's
- * lifetime (deque storage, the StatSet idiom); recording is a relaxed
- * atomic add (counter/gauge) or a short mutex hold (histogram).
+ * lifetime (deque storage); recording is a relaxed atomic add
+ * (counter/gauge) or a short mutex hold (histogram).
  */
 #pragma once
 

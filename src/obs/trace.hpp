@@ -90,10 +90,10 @@ class Tracer
     void threadName(std::string name);
 
     /**
-     * Periodic StatSet counter sampling: when non-zero (and the
-     * tracer is enabled), System::runUntilRetired emits every core's
-     * pipeline counters as a trace counter series ("core<i>.stats")
-     * every N simulated cycles.
+     * Periodic counter sampling: when non-zero (and the tracer is
+     * enabled), System::runUntilRetired emits every core's `cycle`
+     * and SimResult counters, under their registry names, as a trace
+     * counter series ("core<i>.stats") every N simulated cycles.
      */
     std::uint64_t
     cycleSampleInterval() const

@@ -60,7 +60,7 @@ CommitStage::tick()
         }
 
         ++stats_.retired;
-        ++stats_.retiredElim(d.ren.elim);
+        ++stats_.elim[static_cast<unsigned>(d.ren.elim)];
         if (d.isLoadInst())
             ++stats_.retiredLoads;
         if (d.isStoreInst())

@@ -13,7 +13,7 @@
 #include "obs/cpistack.hpp"
 #include "obs/profiler.hpp"
 #include "pipeline/machine_state.hpp"
-#include "pipeline/pipeline_stats.hpp"
+#include "uarch/sim_result.hpp"
 #include "reno/renamer.hpp"
 #include "uarch/params.hpp"
 #include "uarch/retire_listener.hpp"
@@ -27,7 +27,7 @@ class CommitStage
   public:
     CommitStage(const CoreParams &params, RenoRenamer &renamer,
                 StoreSets &ssets, MemHierarchy &mem,
-                MachineState &state, PipelineStats &stats)
+                MachineState &state, SimResult &stats)
         : params_(params), renamer_(renamer), ssets_(ssets), mem_(mem),
           s_(state), stats_(stats)
     {
@@ -57,7 +57,7 @@ class CommitStage
     StoreSets &ssets_;
     MemHierarchy &mem_;
     MachineState &s_;
-    PipelineStats &stats_;
+    SimResult &stats_;
     RetireListener *listener_ = nullptr;
     obs::CpiStack *cpi_ = nullptr;
     obs::HotspotProfile *hot_ = nullptr;

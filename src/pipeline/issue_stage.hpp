@@ -20,7 +20,7 @@
 
 #include "mem/hierarchy.hpp"
 #include "pipeline/machine_state.hpp"
-#include "pipeline/pipeline_stats.hpp"
+#include "uarch/sim_result.hpp"
 #include "reno/renamer.hpp"
 #include "uarch/params.hpp"
 #include "uarch/store_sets.hpp"
@@ -33,7 +33,7 @@ class IssueStage
   public:
     IssueStage(const CoreParams &params, MemHierarchy &mem,
                StoreSets &ssets, RenoRenamer &renamer,
-               MachineState &state, PipelineStats &stats)
+               MachineState &state, SimResult &stats)
         : params_(params), mem_(mem), ssets_(ssets), renamer_(renamer),
           s_(state), stats_(stats)
     {
@@ -62,7 +62,7 @@ class IssueStage
     StoreSets &ssets_;
     RenoRenamer &renamer_;
     MachineState &s_;
-    PipelineStats &stats_;
+    SimResult &stats_;
 };
 
 } // namespace reno

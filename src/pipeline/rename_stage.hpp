@@ -12,7 +12,7 @@
 #pragma once
 
 #include "pipeline/machine_state.hpp"
-#include "pipeline/pipeline_stats.hpp"
+#include "uarch/sim_result.hpp"
 #include "reno/renamer.hpp"
 #include "uarch/params.hpp"
 #include "uarch/store_sets.hpp"
@@ -25,7 +25,7 @@ class RenameStage
   public:
     RenameStage(const CoreParams &params, RenoRenamer &renamer,
                 StoreSets &ssets, MachineState &state,
-                PipelineStats &stats)
+                SimResult &stats)
         : params_(params), renamer_(renamer), ssets_(ssets), s_(state),
           stats_(stats)
     {
@@ -41,7 +41,7 @@ class RenameStage
     RenoRenamer &renamer_;
     StoreSets &ssets_;
     MachineState &s_;
-    PipelineStats &stats_;
+    SimResult &stats_;
 };
 
 } // namespace reno

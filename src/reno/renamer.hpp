@@ -25,7 +25,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "isa/inst.hpp"
 #include "reno/integration_table.hpp"

@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "emu/emulator.hpp"
 #include "uarch/params.hpp"
 
 namespace reno::sweep
@@ -17,7 +16,7 @@ namespace
 /** Flags that take a value, detached or after '='. */
 constexpr const char *ValueFlags[] = {
     "--suite", "--workload", "--workloads", "--filter", "--config",
-    "--width", "--cores",    "--emu",       "--report",
+    "--width", "--cores",    "--report",
 };
 
 /** Flags that print a registry and exit. */
@@ -97,12 +96,6 @@ parseSelectionArgs(int argc, char **argv)
         } else if (matches("--cores")) {
             cores = unsigned(parseUnsignedFlag(
                 "--cores", value("--cores"), 1, SysParams::MaxCores));
-        } else if (matches("--emu")) {
-            const std::string v = value("--emu");
-            if (v != "interp" && v != "decoded")
-                fatal("--emu expects interp or decoded, got '%s'",
-                      v.c_str());
-            setDefaultDecodedExec(v == "decoded");
         } else if (matches("--report")) {
             const std::string v = value("--report");
             const auto f = reportFormatFromName(v);
@@ -205,10 +198,6 @@ selectionUsage()
            "  --cores N                run every config on an N-core\n"
            "                           MESI-coherent System (same as a\n"
            "                           /Nc config suffix; 1..%u)\n"
-           "  --emu interp|decoded     functional-emulator engine\n"
-           "                           (default decoded superblocks;\n"
-           "                           interp = per-step; bit-exact\n"
-           "                           either way)\n"
            "  --report table|json|csv  reporter (default table)\n"
            "  --list                   list every workload of every suite\n"
            "                           and the config presets, and exit\n"

@@ -15,7 +15,6 @@
  *                        default BASE, RENO)
  *   --width 4|6          machine width
  *   --cores N            N-core System for every config (a /Nc suffix)
- *   --emu interp|decoded functional-emulator engine (process-wide)
  *   --report table|json|csv
  *   --list, --list-configs, --list-suites   print and exit 0
  *

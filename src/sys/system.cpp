@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace reno
@@ -69,22 +68,6 @@ System::tick()
             core->tick();
     }
     ++now_;
-}
-
-SimResult
-System::run()
-{
-    const SimResult r = runUntilRetired(~std::uint64_t{0});
-    // A lone core has no coherence traffic to publish.
-    if (cores_.size() == 1)
-        return r;
-
-    auto &metrics = obs::MetricsRegistry::instance();
-    metrics.counter("sys.coh.invalidations").inc(bus_.invalidations());
-    metrics.counter("sys.coh.interventions").inc(bus_.interventions());
-    metrics.counter("sys.coh.upgradeMisses").inc(bus_.upgradeMisses());
-    metrics.counter("sys.coh.writebacks").inc(bus_.writebacks());
-    return r;
 }
 
 SimResult

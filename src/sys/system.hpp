@@ -51,7 +51,7 @@ class System
            const std::vector<Emulator *> &emus);
 
     /** Run to completion of every core (or the cycle limit). */
-    SimResult run();
+    SimResult run() { return runUntilRetired(~std::uint64_t{0}); }
 
     /**
      * Run until the cores' aggregate retired-instruction count (the

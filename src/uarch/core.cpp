@@ -12,12 +12,11 @@ Core::Core(const CoreParams &params, Emulator &emu,
       mem_(params.mem, &attach), bp_(params.bpred),
       ssets_(params.ssitEntries, params.numStoreSets),
       state_(params_),
-      statSet_(strprintf("core%u", attach.coreId)),
-      stats_(statSet_),
+      coreId_(attach.coreId),
       fetch_(params_, emu_, mem_, bp_, state_),
-      rename_(params_, renamer_, ssets_, state_, stats_),
-      issue_(params_, mem_, ssets_, renamer_, state_, stats_),
-      commit_(params_, renamer_, ssets_, mem_, state_, stats_)
+      rename_(params_, renamer_, ssets_, state_, counts_),
+      issue_(params_, mem_, ssets_, renamer_, state_, counts_),
+      commit_(params_, renamer_, ssets_, mem_, state_, counts_)
 {
     if (params.numPregs < NumLogRegs + 1)
         fatal("numPregs must exceed the number of logical registers");
@@ -54,33 +53,24 @@ Core::tick()
 void
 Core::sampleStatsCounter()
 {
+    const SimResult r = result();
     obs::TraceArgs args;
     args.add("cycle", static_cast<std::uint64_t>(state_.now));
-    for (const auto &[name, value] : statSet_.dump())
-        args.add(name.c_str(), value);
-    // The set's name gives each core its own trace lane
-    // ("core0.stats", "core1.stats", ...).
-    obs::Tracer::instance().counter(statSet_.name() + ".stats",
+    for (const SimStatField &f : simResultFields())
+        args.add(f.name, statValue(r, f));
+    obs::Tracer::instance().counter(strprintf("core%u.stats", coreId_),
                                     args.str());
 }
 
 SimResult
 Core::result() const
 {
-    SimResult r;
+    SimResult r = counts_;
     r.cycles = state_.now;
-    r.retired = stats_.retired;
-    for (unsigned k = 0; k < NumElimKinds; ++k)
-        r.elim[k] = stats_.retiredElim(k);
-    r.retiredLoads = stats_.retiredLoads;
-    r.retiredStores = stats_.retiredStores;
-    r.retiredBranches = stats_.retiredBranches;
     r.itAccesses = renamer_.it().accesses();
     r.itHits = renamer_.it().hits();
     r.overflowCancels = renamer_.overflowCancels();
     r.groupDepCancels = renamer_.groupDepCancels();
-    r.violationSquashes = stats_.violationSquashes;
-    r.misintegrationFlushes = stats_.misintegrationFlushes;
     r.bpLookups = bp_.lookups();
     r.bpMispredicts = bp_.mispredicts();
     r.bpDirMispredicts = bp_.dirMispredicts();
@@ -105,11 +95,7 @@ Core::result() const
     }
     // Per-core slot 0; the System remaps it into this core's slot.
     r.coreCycles[0] = state_.now;
-    r.coreRetired[0] = stats_.retired;
-    r.stallRob = stats_.stallRob;
-    r.stallIq = stats_.stallIq;
-    r.stallPregs = stats_.stallPregs;
-    r.stallLsq = stats_.stallLsq;
+    r.coreRetired[0] = counts_.retired;
     return r;
 }
 

@@ -17,11 +17,11 @@
  * refetch, rolling back RENO map-table, reference-count and IT state.
  *
  * Core itself is a thin facade: the machine state lives in
- * pipeline/machine_state.hpp, the four stage units in
- * src/pipeline/{fetch,rename,issue,commit}_stage.*, and the
- * pipeline's counters in a named StatSet (common/statset.hpp) exposed
- * through stats(). Core wires them together and drives one stage pass
- * per tick().
+ * pipeline/machine_state.hpp and the four stage units in
+ * src/pipeline/{fetch,rename,issue,commit}_stage.*. The stages count
+ * straight into the core's SimResult counter block; result() adds
+ * what the components own. Core wires them together and drives one
+ * stage pass per tick().
  */
 #pragma once
 
@@ -29,7 +29,6 @@
 #include <memory>
 
 #include "bpred/predictor.hpp"
-#include "common/statset.hpp"
 #include "emu/emulator.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/cpistack.hpp"
@@ -38,7 +37,6 @@
 #include "pipeline/fetch_stage.hpp"
 #include "pipeline/issue_stage.hpp"
 #include "pipeline/machine_state.hpp"
-#include "pipeline/pipeline_stats.hpp"
 #include "pipeline/rename_stage.hpp"
 #include "reno/renamer.hpp"
 #include "uarch/dyninst.hpp"
@@ -67,7 +65,7 @@ class Core
 
     bool finished() const { return state_.finished; }
     Cycle now() const { return state_.now; }
-    std::uint64_t retiredCount() const { return stats_.retired; }
+    std::uint64_t retiredCount() const { return counts_.retired; }
 
     RenoRenamer &renamer() { return renamer_; }
     const RenoRenamer &renamer() const { return renamer_; }
@@ -84,9 +82,6 @@ class Core
      *  slot and adds the shared stack and the bus. */
     SimResult result() const;
 
-    /** The pipeline's named stat registry (live counters). */
-    const StatSet &stats() const { return statSet_; }
-
     /** The explicit machine state (tests, visualization). */
     const MachineState &machineState() const { return state_; }
 
@@ -96,8 +91,9 @@ class Core
     /** Hotspot profiler (null unless enabled at construction). */
     const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
-    /** Emit every pipeline counter as one trace counter sample on
-     *  this core's "core<i>.stats" lane. The System calls it on the
+    /** Emit `cycle` and every result() field, under its registry
+     *  name, as one trace counter sample on this core's
+     *  "core<i>.stats" lane. The System calls it on the
      *  --trace-sample interval. */
     void sampleStatsCounter();
 
@@ -110,8 +106,9 @@ class Core
     StoreSets ssets_;
 
     MachineState state_;
-    StatSet statSet_;
-    PipelineStats stats_;
+    unsigned coreId_;
+    /** The pipeline's counters; the stages increment its fields. */
+    SimResult counts_;
 
     /** CPI accounting, allocated only when CpiAccounting says so at
      *  construction -- a disabled run never touches these. */

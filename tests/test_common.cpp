@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the common utilities: formatting, tables, RNG, bit
- * helpers, the statistics registry, strict integer parsing, the
- * strict line reader and checked text-file writes.
+ * helpers, strict integer parsing, the strict line reader and checked
+ * text-file writes.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/textfile.hpp"
 #include "common/types.hpp"
@@ -95,37 +94,6 @@ TEST(Rng, ChanceExtremes)
         EXPECT_FALSE(rng.chance(0));
         EXPECT_TRUE(rng.chance(100));
     }
-}
-
-TEST(StatGroup, RegistersAndDumps)
-{
-    StatGroup group("test");
-    Counter &a = group.add("alpha");
-    Counter &b = group.add("beta");
-    ++a;
-    b += 10;
-    EXPECT_EQ(group.get("alpha"), 1u);
-    EXPECT_EQ(group.get("beta"), 10u);
-    EXPECT_EQ(group.get("missing"), 0u);
-
-    const auto dump = group.dump();
-    ASSERT_EQ(dump.size(), 2u);
-    EXPECT_EQ(dump[0].first, "alpha");
-    EXPECT_EQ(dump[1].second, 10u);
-
-    group.resetAll();
-    EXPECT_EQ(group.get("beta"), 0u);
-}
-
-TEST(StatGroup, DuplicateAddReturnsSameCounter)
-{
-    StatGroup group("test");
-    Counter &a1 = group.add("x");
-    Counter &a2 = group.add("x");
-    ++a1;
-    ++a2;
-    EXPECT_EQ(group.get("x"), 2u);
-    EXPECT_EQ(group.dump().size(), 1u);
 }
 
 TEST(TextTable, AlignsColumns)

@@ -28,6 +28,7 @@
 #include "sample/interval.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/result_cache.hpp"
+#include "uarch/sim_result.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace reno;
@@ -294,7 +295,41 @@ TEST(Trace, RealRunEmitsValidJsonWithBalancedNesting)
         EXPECT_TRUE(stack.empty()) << "unbalanced spans on tid "
                                    << tid;
     // --trace-sample was on: the pipeline emitted counter series.
-    EXPECT_GT(counters, 0u);
+    EXPECT_GT(counters, 1u);
+
+    // Every sample on the core0.stats lane is `cycle` plus the
+    // SimResult registry, by registry name and in registry order;
+    // the counters in it never decrease.
+    std::vector<std::string> want{"cycle"};
+    for (const SimStatField &f : simResultFields())
+        want.push_back(f.name);
+    std::map<std::string, std::uint64_t> last;
+    for (const TraceEvent &e : Tracer::instance().events()) {
+        if (e.ph != TraceEvent::Phase::Counter)
+            continue;
+        ASSERT_EQ(e.name, "core0.stats");
+        // The args body is `"name": value, "name": value, ...`.
+        std::vector<std::string> names;
+        std::map<std::string, std::uint64_t> values;
+        std::size_t pos = 0;
+        while ((pos = e.args.find('"', pos)) != std::string::npos) {
+            const std::size_t close = e.args.find('"', pos + 1);
+            ASSERT_NE(close, std::string::npos) << e.args;
+            ASSERT_EQ(e.args.compare(close + 1, 2, ": "), 0) << e.args;
+            const std::string name =
+                e.args.substr(pos + 1, close - pos - 1);
+            names.push_back(name);
+            values[name] = std::stoull(e.args.substr(close + 3));
+            pos = e.args.find(',', close);
+        }
+        EXPECT_EQ(names, want);
+        if (!last.empty()) {
+            EXPECT_GE(values["retired"], last["retired"]);
+            EXPECT_GE(values["cycles"], last["cycles"]);
+        }
+        last = std::move(values);
+    }
+    EXPECT_GT(last["retired"], 0u);
 }
 
 TEST(Trace, SimResultsAreByteIdenticalWithTracingOnAndOff)

@@ -3,8 +3,8 @@
  * Pipeline-subsystem tests: golden byte-identity of full SimResult
  * vectors against the pre-refactor monolithic core (squash/replay
  * included) on the harness's 1-core System, stall-counter
- * attribution per back-pressured resource, StatSet snapshot/delta
- * algebra as used by the sampling windows,
+ * attribution per back-pressured resource, the SimResult window
+ * delta/accumulate algebra the sampling windows use,
  * instruction-arena recycling, and a frozen schedule digest: every
  * retired instruction's rename/issue/complete/retire cycles and
  * critical-path attribution over every suite, plus every counter and
@@ -22,7 +22,6 @@
 #include "asm/assembler.hpp"
 #include "common/digest.hpp"
 #include "common/log.hpp"
-#include "common/statset.hpp"
 #include "sample/interval.hpp"
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
@@ -365,129 +364,24 @@ TEST(PipelineStalls, StoreQueuePressureChargedToStallLsq)
     EXPECT_GT(r.stallLsq, 0u);
 }
 
-// ---- StatSet registry and snapshot/delta algebra ------------------------
+// ---- SimResult window delta/accumulate algebra -------------------------
 
-TEST(StatSetTest, RegistersNamedCountersInOrder)
-{
-    StatSet set("test");
-    std::uint64_t &a = set.add("alpha");
-    std::uint64_t &b = set.add("beta");
-    a += 3;
-    ++b;
-    EXPECT_EQ(set.size(), 2u);
-    EXPECT_TRUE(set.has("alpha"));
-    EXPECT_FALSE(set.has("gamma"));
-    EXPECT_EQ(set.value("alpha"), 3u);
-    EXPECT_EQ(set.value("beta"), 1u);
-    EXPECT_EQ(set.value("gamma"), 0u);
-    ASSERT_EQ(set.names().size(), 2u);
-    EXPECT_EQ(set.names()[0], "alpha");
-    EXPECT_EQ(set.names()[1], "beta");
-    // Re-adding returns the same counter.
-    EXPECT_EQ(&set.add("alpha"), &a);
-}
-
-TEST(StatSetTest, ReferencesSurviveGrowth)
-{
-    StatSet set;
-    std::uint64_t &first = set.add("first");
-    for (int i = 0; i < 1000; ++i)
-        set.add("extra" + std::to_string(i));
-    first = 42;
-    EXPECT_EQ(set.value("first"), 42u);
-}
-
-TEST(StatSetTest, SnapshotDeltaAlgebra)
-{
-    // The sampling-window contract: counters are monotonic, so a
-    // window's contribution is the delta of its boundary snapshots,
-    // and window deltas accumulate back to the full-run totals.
-    StatSet set;
-    std::uint64_t &x = set.add("x");
-    std::uint64_t &y = set.add("y");
-
-    const StatSnapshot s0 = set.snapshot();
-    x += 10;
-    y += 1;
-    const StatSnapshot s1 = set.snapshot();
-    x += 5;
-    y += 2;
-    const StatSnapshot s2 = set.snapshot();
-
-    const StatSnapshot w1 = s1.delta(s0);
-    const StatSnapshot w2 = s2.delta(s1);
-    EXPECT_EQ(w1.values[0], 10u);
-    EXPECT_EQ(w1.values[1], 1u);
-    EXPECT_EQ(w2.values[0], 5u);
-    EXPECT_EQ(w2.values[1], 2u);
-
-    StatSnapshot sum;
-    sum.accumulate(w1);
-    sum.accumulate(w2);
-    EXPECT_EQ(sum, s2.delta(s0));
-    EXPECT_EQ(sum.values[0], x);
-    EXPECT_EQ(sum.values[1], y);
-}
-
-TEST(StatSetDeath, IncompatibleSnapshotsRejected)
-{
-    StatSet a, b;
-    a.add("x");
-    b.add("x");
-    b.add("y");
-    const StatSnapshot sa = a.snapshot();
-    const StatSnapshot sb = b.snapshot();
-    EXPECT_EXIT((void)sb.delta(sa), ::testing::ExitedWithCode(1),
-                "incompatible");
-}
-
-TEST(PipelineStatSet, CoreExposesNamedRegistry)
-{
-    const Program prog = assemble(mixedSrc);
-    Emulator emu(prog);
-    CoreParams p;
-    p.reno = RenoConfig::full();
-    System sys(p, {&emu});
-    const SimResult r = sys.run();
-
-    const StatSet &stats = sys.core(0).stats();
-    EXPECT_EQ(stats.value("retired"), r.retired);
-    EXPECT_EQ(stats.value("retired_loads"), r.retiredLoads);
-    EXPECT_EQ(stats.value("retired_stores"), r.retiredStores);
-    EXPECT_EQ(stats.value("retired_branches"), r.retiredBranches);
-    EXPECT_EQ(stats.value("retired_elim_me"), r.elim[1]);
-    EXPECT_EQ(stats.value("retired_elim_cf"), r.elim[2]);
-    EXPECT_EQ(stats.value("retired_elim_ra"), r.elim[4]);
-    EXPECT_EQ(stats.value("violation_squashes"), r.violationSquashes);
-    EXPECT_EQ(stats.value("stall_rob"), r.stallRob);
-    EXPECT_EQ(stats.value("stall_lsq"), r.stallLsq);
-}
-
-TEST(PipelineStatSet, WindowDeltasMatchFullRun)
+TEST(SimResultWindows, WindowDeltasMatchFullRun)
 {
     // Two windows over one run: boundary-snapshot deltas must
     // accumulate to the final totals (what runIntervalDetailed relies
-    // on), for the named registry and the SimResult algebra alike.
+    // on).
     const Program prog = assemble(mixedSrc);
     Emulator emu(prog);
     CoreParams p;
     p.reno = RenoConfig::full();
     System sys(p, {&emu});
-    const StatSet &stats = sys.core(0).stats();
 
-    const StatSnapshot s0 = stats.snapshot();
     const SimResult r0 = sys.result();
     sys.runUntilRetired(3000);
-    const StatSnapshot s1 = stats.snapshot();
     const SimResult r1 = sys.result();
     sys.run();
-    const StatSnapshot s2 = stats.snapshot();
     const SimResult r2 = sys.result();
-
-    StatSnapshot sum;
-    sum.accumulate(s1.delta(s0));
-    sum.accumulate(s2.delta(s1));
-    EXPECT_EQ(sum, s2.delta(s0));
 
     SimResult acc;
     sample::accumulateResult(acc, sample::deltaResult(r1, r0));

@@ -170,13 +170,18 @@ main(int argc, char **argv)
         std::fwrite(rendered.data(), 1, rendered.size(), stdout);
         std::fprintf(stderr,
                      "[sample] max |IPC error| %.2f%%; full %.2fs "
-                     "(%zu sims), sampled %.2fs (%zu sims), "
-                     "speedup %.1fx\n",
+                     "(%zu sims), sampled %.2fs (%zu sims), ",
                      report.maxAbsErrorPct, report.fullSeconds,
                      report.fullStats.simulated,
                      report.sampledSeconds,
-                     report.sampledStats.simulated,
-                     report.speedup());
+                     report.sampledStats.simulated);
+        // A side that simulated nothing timed cache lookups only, so
+        // the ratio of the two times says nothing about sampling.
+        if (report.fullStats.simulated && report.sampledStats.simulated)
+            std::fprintf(stderr, "speedup %.1fx\n", report.speedup());
+        else
+            std::fprintf(stderr, "no speedup measured (a side "
+                                 "replayed from the cache)\n");
         if (max_error > 0.0 && report.maxAbsErrorPct > max_error) {
             std::fprintf(stderr,
                          "[sample] FAIL: max |IPC error| %.2f%% "

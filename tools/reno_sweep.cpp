@@ -12,12 +12,10 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "common/parse.hpp"
 #include "common/textfile.hpp"
 #include "obs/cpireport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "sample/sampler.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/reporter.hpp"
 #include "sweep/selection.hpp"
@@ -33,16 +31,9 @@ usage(const char *argv0)
     std::printf("usage: %s [options]\n\n%s\n", argv0,
                 sweep::selectionUsage().c_str());
     std::printf(
-        "full simulation:\n"
+        "analysis:\n"
         "  --cpa                    critical-path analysis per job\n"
         "                           (single-core only)\n"
-        "\n"
-        "sampled simulation (estimates instead of full runs):\n"
-        "  --sample N               measured intervals per program\n"
-        "  --warmup W               detailed warmup insts per interval"
-        " (default 2000)\n"
-        "  --measure M              measured insts per interval"
-        " (default 5000)\n"
         "\n"
         "execution:\n"
         "  --jobs N                 worker threads (default: RENO_JOBS"
@@ -54,11 +45,9 @@ usage(const char *argv0)
         "output:\n"
         "  --all-stats              report every named SimResult"
         " counter\n"
-        "                           (full simulations only)\n"
         "  --cpi-json FILE          write per-job CPI stacks + the\n"
         "                           campaign aggregate (requires\n"
-        "                           --cpi-stack; full simulations"
-        " only)\n"
+        "                           --cpi-stack)\n"
         "  --cpi-html FILE          write a self-contained HTML report\n"
         "                           (stacked bars per job, hotspot\n"
         "                           tables; requires --cpi-stack)\n"
@@ -91,9 +80,6 @@ int
 main(int argc, char **argv)
 {
     bool want_cpa = false;
-    std::uint64_t sample_intervals = 0;  //!< 0 = full simulation
-    bool plan_tuned = false;  //!< --warmup/--measure given
-    sample::SamplePlan plan;
     bool all_stats = false;
     std::string cpi_json;
     std::string cpi_html;
@@ -126,17 +112,6 @@ main(int argc, char **argv)
                 fatal("--cpi-html expects a file path");
         } else if (arg == "--cpa") {
             want_cpa = true;
-        } else if (matches("--sample")) {
-            sample_intervals =
-                parseUnsignedFlag("--sample", value("--sample"), 1);
-        } else if (matches("--warmup")) {
-            plan.warmupInsts =
-                parseUnsignedFlag("--warmup", value("--warmup"));
-            plan_tuned = true;
-        } else if (matches("--measure")) {
-            plan.measureInsts =
-                parseUnsignedFlag("--measure", value("--measure"), 1);
-            plan_tuned = true;
         } else if (bool takes_value;
                    sweep::isSelectionFlag(arg, &takes_value) ||
                    sweep::isCampaignFlag(arg, &takes_value) ||
@@ -158,29 +133,6 @@ main(int argc, char **argv)
 
     if ((!cpi_json.empty() || !cpi_html.empty()) && !obs_opts.cpiStack)
         fatal("--cpi-json/--cpi-html require --cpi-stack");
-    if (plan_tuned && sample_intervals == 0)
-        fatal("--warmup/--measure require --sample");
-    if (sample_intervals > 0) {
-        if (want_cpa)
-            fatal("--cpa cannot be combined with --sample");
-        if (all_stats)
-            fatal("--all-stats applies to full simulations only");
-        if (!cpi_json.empty() || !cpi_html.empty())
-            fatal("--cpi-json/--cpi-html apply to full simulations "
-                  "only (use reno-sample --cpi-json for sampled "
-                  "stacks)");
-        sample::SampleOptions sample_opts;
-        sample_opts.plan = plan;
-        sample_opts.plan.intervals = sample_intervals;
-        sample_opts.campaign = opts;
-        const sample::SampledCampaign sampled =
-            sample::runSampledCampaign(sel.workloads, sel.configs,
-                                       sample_opts);
-        const std::string rendered =
-            sample::renderSampled(sampled, sel.format);
-        std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-        return 0;
-    }
 
     sweep::Campaign campaign;
     for (const Workload *w : sel.workloads) {
