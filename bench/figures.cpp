@@ -511,7 +511,7 @@ ablateFusion()
 }
 
 /*
- * Ablation (paper section 3.2, DESIGN.md section 6.3): RENO never
+ * Ablation (paper section 3.2): RENO never
  * eliminates two *dependent* instructions renamed in the same cycle;
  * this keeps the output-selection mux linear rather than quadratic in
  * the rename width. The paper argues such pairs are rare (a compiler
@@ -621,7 +621,7 @@ ablateIttable()
 }
 
 /*
- * Ablation (paper section 3.2, DESIGN.md section 6.4): the renaming
+ * Ablation (paper section 3.2): the renaming
  * pipeline checks displacement overflow *conservatively*, comparing
  * the top two bits of the instruction immediate and the current
  * map-table displacement, because the exact 16-bit sum is not

@@ -475,8 +475,13 @@ Emulator::flushBlockMetrics() const
     reg.counter("emu.insts.interpreted").inc(interpInsts_);
 }
 
+// The decoded loop's speed, like SparseMemory::read's, depends on its
+// offset within a 64-byte line: changes that never touched the
+// emulator have shifted it and moved the functional-warming time of a
+// sampled run by 21-30%. Starting each instantiation on a line keeps
+// its speed independent of the code linked before it.
 template <bool WithSink>
-void
+[[gnu::aligned(64)]] void
 Emulator::execDecoded(DecodedBlock *blk, std::size_t start_idx,
                       std::uint64_t limit, AccessSink *sink)
 {

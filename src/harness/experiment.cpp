@@ -69,30 +69,23 @@ mergeHot(const std::vector<std::vector<obs::HotspotProfile::Entry>>
     return merged;
 }
 
-/** Harvest and aggregate the side channel across a System's cores. */
-obs::CpiReport
-harvestCpi(const System &sys)
+/** Harvest and merge the hotspot tables across a System's cores. */
+obs::HotspotReport
+harvestHotspots(const System &sys)
 {
-    obs::CpiReport r;
+    obs::HotspotReport r;
     std::vector<std::vector<obs::HotspotProfile::Entry>> hot_ret;
     std::vector<std::vector<obs::HotspotProfile::Entry>> hot_stall;
-    const std::size_t n = obs::CpiAccounting::instance().hotspotTopN();
+    const std::size_t n = obs::HotspotProfile::topN();
     for (unsigned i = 0; i < sys.numCores(); ++i) {
-        const Core &core = sys.core(i);
-        if (const obs::CpiStack *stack = core.cpiStack()) {
-            r.valid = true;
-            r.machine.accumulate(*stack);
-            r.perCore.push_back(*stack);
-        }
-        if (const obs::HotspotProfile *hot = core.hotspots()) {
-            r.valid = true;
+        if (const obs::HotspotProfile *hot = sys.core(i).hotspots()) {
             hot_ret.push_back(hot->topByRetired(n));
             hot_stall.push_back(hot->topByStall(n));
-            r.hotspotDropped += hot->dropped();
+            r.dropped += hot->dropped();
         }
     }
-    r.hotRetired = mergeHot(hot_ret, n, false);
-    r.hotStall = mergeHot(hot_stall, n, true);
+    r.retired = mergeHot(hot_ret, n, false);
+    r.stall = mergeHot(hot_stall, n, true);
     return r;
 }
 
@@ -486,7 +479,7 @@ runWorkload(const Workload &workload, const CoreParams &params,
                    : strprintf("%s core%zu", workload.name.c_str(), i),
             ptracers[i].records());
     }
-    out.cpi = harvestCpi(sys);
+    out.hot = harvestHotspots(sys);
     emus.collect(&out);
     return out;
 }

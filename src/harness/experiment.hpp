@@ -14,7 +14,7 @@
 
 #include "asm/assembler.hpp"
 #include "cpa/critpath.hpp"
-#include "obs/cpireport.hpp"
+#include "obs/profiler.hpp"
 #include "uarch/core.hpp"
 #include "uarch/params.hpp"
 #include "workloads/workloads.hpp"
@@ -34,10 +34,9 @@ struct RunOutput {
     std::string output;           //!< program's printed output
     std::uint64_t memDigest = 0;  //!< final memory digest
     std::uint64_t emuInsts = 0;   //!< functional instruction count
-    /** CPI-stack / hotspot side channel (valid only when
-     *  obs::CpiAccounting was enabled for the run; never cached or
-     *  folded into SimResult). */
-    obs::CpiReport cpi;
+    /** Hotspot side channel (empty unless --profile-hot was on for
+     *  the run; never folded into SimResult). */
+    obs::HotspotReport hot;
 };
 
 /** Apply a RENO configuration to a core configuration. */

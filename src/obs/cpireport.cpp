@@ -1,5 +1,10 @@
 #include "obs/cpireport.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
+
 #include "common/log.hpp"
 #include "common/report.hpp"
 
@@ -9,16 +14,34 @@ namespace reno::obs
 namespace
 {
 
+/** Cycles per CpiBucket: a core slot's SimResult::cpi row, or a sum. */
+using Stack = std::array<std::uint64_t, NumCpiBuckets>;
+using StackView = std::span<const std::uint64_t, NumCpiBuckets>;
+
+/** The whole machine's stack: the sum over the core slots. */
+Stack
+machineStack(const SimResult &sim)
+{
+    Stack stack;
+    for (unsigned b = 0; b < NumCpiBuckets; ++b)
+        stack[b] = sim.cpiCycles(static_cast<CpiBucket>(b));
+    return stack;
+}
+
+std::uint64_t
+total(StackView stack)
+{
+    return std::accumulate(stack.begin(), stack.end(), std::uint64_t{0});
+}
+
 void
-appendStack(std::string &out, const CpiStack &stack,
-            const char *indent)
+appendStack(std::string &out, StackView stack, const char *indent)
 {
     out += "{";
     for (std::size_t i = 0; i < NumCpiBuckets; ++i) {
-        out += strprintf(
-            "%s\n%s  \"%s\": %llu", i ? "," : "", indent,
-            cpiBucketName(static_cast<CpiBucket>(i)),
-            static_cast<unsigned long long>(stack.cycles[i]));
+        out += strprintf("%s\n%s  \"%s\": %llu", i ? "," : "", indent,
+                         CpiBucketNames[i],
+                         static_cast<unsigned long long>(stack[i]));
     }
     out += strprintf("\n%s}", indent);
 }
@@ -69,44 +92,43 @@ bucketColor(CpiBucket b)
 std::string
 renderCpiJson(const std::vector<CpiRow> &rows)
 {
-    CpiStack aggregate;
+    Stack aggregate{};
     std::string out = "{\n  \"buckets\": [";
-    for (std::size_t i = 0; i < NumCpiBuckets; ++i) {
-        out += strprintf("%s\"%s\"", i ? ", " : "",
-                         cpiBucketName(static_cast<CpiBucket>(i)));
-    }
+    for (std::size_t i = 0; i < NumCpiBuckets; ++i)
+        out += strprintf("%s\"%s\"", i ? ", " : "", CpiBucketNames[i]);
     out += "],\n  \"jobs\": [";
     for (std::size_t r = 0; r < rows.size(); ++r) {
         const CpiRow &row = rows[r];
-        aggregate.accumulate(row.report.machine);
+        const Stack machine = machineStack(row.sim);
+        for (std::size_t i = 0; i < NumCpiBuckets; ++i)
+            aggregate[i] += machine[i];
         out += strprintf(
             "%s\n    {\"workload\": \"%s\", \"config\": \"%s\", "
             "\"cores\": %u,\n     \"cycles\": %llu,\n     \"stack\": ",
             r ? "," : "", jsonEscape(row.workload).c_str(),
             jsonEscape(row.config).c_str(), row.cores,
-            static_cast<unsigned long long>(row.report.machine.total()));
-        appendStack(out, row.report.machine, "     ");
+            static_cast<unsigned long long>(total(machine)));
+        appendStack(out, machine, "     ");
         out += ",\n     \"per_core\": [";
-        for (std::size_t c = 0; c < row.report.perCore.size(); ++c) {
-            out += strprintf("%s\n      {\"cycles\": %llu, \"stack\": ",
-                             c ? "," : "",
-                             static_cast<unsigned long long>(
-                                 row.report.perCore[c].total()));
-            appendStack(out, row.report.perCore[c], "      ");
+        const unsigned slots = std::min(row.cores, NumCoreStatSlots);
+        for (unsigned c = 0; c < slots; ++c) {
+            out += strprintf(
+                "%s\n      {\"cycles\": %llu, \"stack\": ", c ? "," : "",
+                static_cast<unsigned long long>(total(row.sim.cpi[c])));
+            appendStack(out, row.sim.cpi[c], "      ");
             out += "}";
         }
-        out += row.report.perCore.empty() ? "]" : "\n     ]";
+        out += slots ? "\n     ]" : "]";
         out += ",\n     \"hot_retired\": ";
-        appendHotTable(out, row.report.hotRetired, "     ");
+        appendHotTable(out, row.hot.retired, "     ");
         out += ",\n     \"hot_stall\": ";
-        appendHotTable(out, row.report.hotStall, "     ");
+        appendHotTable(out, row.hot.stall, "     ");
         out += strprintf(",\n     \"hotspot_dropped\": %llu}",
-                         static_cast<unsigned long long>(
-                             row.report.hotspotDropped));
+                         static_cast<unsigned long long>(row.hot.dropped));
     }
     out += rows.empty() ? "],\n" : "\n  ],\n";
     out += strprintf("  \"aggregate\": {\"cycles\": %llu, \"stack\": ",
-                     static_cast<unsigned long long>(aggregate.total()));
+                     static_cast<unsigned long long>(total(aggregate)));
     appendStack(out, aggregate, "  ");
     out += "}\n}\n";
     return out;
@@ -142,12 +164,13 @@ renderCpiHtml(const std::vector<CpiRow> &rows)
         out += strprintf(
             "<span><span class=\"swatch\" style=\"background:%s\">"
             "</span>%s</span>",
-            bucketColor(b), cpiBucketName(b));
+            bucketColor(b), CpiBucketNames[i]);
     }
     out += "</p>\n";
 
     for (const CpiRow &row : rows) {
-        const std::uint64_t cycles = row.report.machine.total();
+        const Stack machine = machineStack(row.sim);
+        const std::uint64_t cycles = total(machine);
         out += strprintf(
             "<h2>%s &middot; %s (%u core%s, %llu cycles)</h2>\n"
             "<div class=\"bar\">",
@@ -157,7 +180,7 @@ renderCpiHtml(const std::vector<CpiRow> &rows)
             static_cast<unsigned long long>(cycles));
         for (std::size_t i = 0; i < NumCpiBuckets && cycles; ++i) {
             const auto b = static_cast<CpiBucket>(i);
-            const std::uint64_t c = row.report.machine.cycles[i];
+            const std::uint64_t c = machine[i];
             if (!c)
                 continue;
             const double pct =
@@ -166,20 +189,18 @@ renderCpiHtml(const std::vector<CpiRow> &rows)
             out += strprintf(
                 "<div class=\"seg\" style=\"width:%.3f%%;"
                 "background:%s\" title=\"%s: %llu (%.1f%%)\"></div>",
-                pct, bucketColor(b), cpiBucketName(b),
+                pct, bucketColor(b), CpiBucketNames[i],
                 static_cast<unsigned long long>(c), pct);
         }
         out += "</div>\n";
 
-        if (!row.report.hotRetired.empty() ||
-            !row.report.hotStall.empty()) {
+        if (!row.hot.retired.empty() || !row.hot.stall.empty()) {
             out += "<table>\n<tr><th>pc</th><th>retired</th>"
                    "<th>stall cycles</th></tr>\n";
             // Merge both hotspot views into one table keyed by pc,
             // retaining the retired-ordered rows first.
-            std::vector<HotspotProfile::Entry> merged =
-                row.report.hotRetired;
-            for (const HotspotProfile::Entry &e : row.report.hotStall) {
+            std::vector<HotspotProfile::Entry> merged = row.hot.retired;
+            for (const HotspotProfile::Entry &e : row.hot.stall) {
                 bool seen = false;
                 for (const HotspotProfile::Entry &m : merged)
                     seen = seen || m.pc == e.pc;
@@ -195,11 +216,10 @@ renderCpiHtml(const std::vector<CpiRow> &rows)
                     static_cast<unsigned long long>(e.stallCycles));
             }
             out += "</table>\n";
-            if (row.report.hotspotDropped) {
+            if (row.hot.dropped) {
                 out += strprintf(
                     "<p>%llu profile events dropped (table full)</p>\n",
-                    static_cast<unsigned long long>(
-                        row.report.hotspotDropped));
+                    static_cast<unsigned long long>(row.hot.dropped));
             }
         }
     }
@@ -211,10 +231,8 @@ std::string
 renderSampledCpiJson(const std::vector<SampledCpiRow> &rows)
 {
     std::string out = "{\n  \"buckets\": [";
-    for (std::size_t i = 0; i < NumCpiBuckets; ++i) {
-        out += strprintf("%s\"%s\"", i ? ", " : "",
-                         cpiBucketName(static_cast<CpiBucket>(i)));
-    }
+    for (std::size_t i = 0; i < NumCpiBuckets; ++i)
+        out += strprintf("%s\"%s\"", i ? ", " : "", CpiBucketNames[i]);
     out += "],\n  \"jobs\": [";
     for (std::size_t r = 0; r < rows.size(); ++r) {
         const SampledCpiRow &row = rows[r];
@@ -230,7 +248,7 @@ renderSampledCpiJson(const std::vector<SampledCpiRow> &rows)
         for (std::size_t i = 0; i < NumCpiBuckets; ++i) {
             out += strprintf(
                 "%s\n       \"%s\": %.3f", i ? "," : "",
-                cpiBucketName(static_cast<CpiBucket>(i)), row.est[i]);
+                CpiBucketNames[i], row.est[i]);
         }
         out += "\n     }}";
     }

@@ -1,52 +1,38 @@
 /**
  * @file
- * Campaign-facing CPI-stack artifacts: the per-run report harvested
- * from a Core/System after simulation, and the renderers behind
+ * Campaign-facing CPI-stack artifacts: the renderers behind
  * `reno-sweep --cpi-json/--cpi-html` and `reno-sample --cpi-json`.
- *
- * The report is a side channel next to SimResult -- never serialized
- * into the result cache (cache-hit jobs come back with valid=false),
- * never rendered into the standard reports -- so every golden stays
- * byte-identical whether accounting is on or off.
+ * The stacks are SimResult registry fields, so a job replayed from
+ * the result cache renders the same stack as the run that simulated
+ * it; only the hotspot tables are a side channel.
  */
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/cpistack.hpp"
 #include "obs/profiler.hpp"
+#include "uarch/sim_result.hpp"
 
 namespace reno::obs
 {
-
-/** Everything CPI accounting learned about one simulation. */
-struct CpiReport {
-    bool valid = false;  //!< false: accounting was off (or cache hit)
-    CpiStack machine;    //!< sum over cores; total() == sum of cycles
-    /** Per-core stacks (one entry on a single core); each sums to
-     *  that core's own cycle count. */
-    std::vector<CpiStack> perCore;
-    std::vector<HotspotProfile::Entry> hotRetired;
-    std::vector<HotspotProfile::Entry> hotStall;
-    std::uint64_t hotspotDropped = 0;
-};
 
 /** One (workload, config) row of a campaign CPI artifact. */
 struct CpiRow {
     std::string workload;
     std::string config;
     unsigned cores = 1;
-    CpiReport report;
+    SimResult sim;     //!< the stacks: SimResult::cpi, per core slot
+    HotspotReport hot;
 };
 
 /**
  * Deterministic JSON artifact: bucket names, one object per job
- * (stack + per-core stacks + hotspot tables, each stack carrying its
- * own "cycles" total so the sum-to-cycles identity is checkable from
- * the file alone), and the campaign-wide aggregate stack.
+ * (stack + per-core-slot stacks + hotspot tables, each stack carrying
+ * its own "cycles" total so the sum-to-cycles identity is checkable
+ * from the file alone), and the campaign-wide aggregate stack. Cores
+ * beyond the last slot fold into it, as in SimResult.
  */
 std::string renderCpiJson(const std::vector<CpiRow> &rows);
 

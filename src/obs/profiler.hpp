@@ -8,11 +8,12 @@
  * (where the time goes). The table never allocates after construction
  * and never grows: once full, new pcs land in a `dropped` counter, so
  * profiling a pathological workload degrades gracefully instead of
- * eating memory. Off by default (CpiAccounting::hotspotTopN == 0);
+ * eating memory. Off by default (HotspotProfile::topN() == 0);
  * nothing on the simulated path changes when disabled.
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,20 @@ class HotspotProfile
     };
 
     explicit HotspotProfile(std::size_t slots = 8192);
+
+    /** Process-wide `--profile-hot` top-N, 0 = off (the Tracer idiom:
+     *  a relaxed atomic). Cores read it once at construction, so a
+     *  change applies to cores built afterwards. */
+    static unsigned
+    topN()
+    {
+        return topN_.load(std::memory_order_relaxed);
+    }
+    static void
+    setTopN(unsigned n)
+    {
+        topN_.store(n, std::memory_order_relaxed);
+    }
 
     /** Count one retirement of @p pc. */
     void
@@ -74,6 +89,16 @@ class HotspotProfile
     std::size_t mask_ = 0;
     std::size_t occupied_ = 0;
     std::uint64_t dropped_ = 0;
+
+    inline static std::atomic<unsigned> topN_{0};
+};
+
+/** A run's hotspot tables, merged over its cores: the top-N of each
+ *  ranking. Empty when profiling was off. */
+struct HotspotReport {
+    std::vector<HotspotProfile::Entry> retired;
+    std::vector<HotspotProfile::Entry> stall;
+    std::uint64_t dropped = 0;
 };
 
 } // namespace reno::obs

@@ -2,9 +2,9 @@
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "obs/cpistack.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
+#include "obs/profiler.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "trace/pipetrace.hpp"
@@ -48,8 +48,6 @@ parseObsArgs(int argc, char **argv)
                 arg.substr(std::string("--progress=").size());
             if (opts.progressPath.empty())
                 fatal("--progress= expects a file path");
-        } else if (arg == "--cpi-stack") {
-            opts.cpiStack = true;
         } else if (arg == "--profile-hot") {
             opts.profileHot = 20;
         } else if (arg.rfind("--profile-hot=", 0) == 0) {
@@ -81,8 +79,8 @@ isObsFlag(const std::string &arg, bool *takes_value)
         *takes_value = true;
         return true;
     }
-    return arg == "--progress" || arg == "--cpi-stack" ||
-           arg == "--profile-hot" || arg == "--pipetrace" ||
+    return arg == "--progress" || arg == "--profile-hot" ||
+           arg == "--pipetrace" ||
            arg.rfind("--trace-out=", 0) == 0 ||
            arg.rfind("--trace-sample=", 0) == 0 ||
            arg.rfind("--metrics-json=", 0) == 0 ||
@@ -113,10 +111,8 @@ Session::Session(const ObsOptions &opts) : opts_(opts)
         }
         ProgressMeter::instance().enable(sink);
     }
-    if (opts_.cpiStack)
-        CpiAccounting::instance().setStackEnabled(true);
     if (opts_.profileHot > 0)
-        CpiAccounting::instance().setHotspotTopN(opts_.profileHot);
+        HotspotProfile::setTopN(opts_.profileHot);
     if (opts_.pipetrace) {
         std::FILE *sink = stderr;
         if (!opts_.pipetracePath.empty()) {
@@ -138,10 +134,8 @@ Session::~Session()
         if (pipetraceFile_)
             std::fclose(pipetraceFile_);
     }
-    if (opts_.cpiStack)
-        CpiAccounting::instance().setStackEnabled(false);
     if (opts_.profileHot > 0)
-        CpiAccounting::instance().setHotspotTopN(0);
+        HotspotProfile::setTopN(0);
     if (opts_.progress) {
         ProgressMeter::instance().finish();
         if (progressFile_)

@@ -9,7 +9,6 @@
  *   --trace-sample N     + sample pipeline counters every N cycles
  *   --metrics-json FILE  write the metrics registry as JSON at exit
  *   --progress[=FILE]    stream NDJSON heartbeats (default: stderr)
- *   --cpi-stack          per-cycle CPI-stack accounting (obs/cpistack)
  *   --profile-hot[=N]    per-PC hotspot profiling, top N (default 20)
  *   --pipetrace[=FILE]   retired-instruction pipeline diagrams
  *                        (default: stderr)
@@ -35,7 +34,6 @@ struct ObsOptions {
     std::string metricsJson;  //!< --metrics-json FILE ("" = off)
     bool progress = false;    //!< --progress[=FILE]
     std::string progressPath; //!< "" = stderr
-    bool cpiStack = false;    //!< --cpi-stack
     unsigned profileHot = 0;  //!< --profile-hot[=N] top-N (0 = off)
     bool pipetrace = false;   //!< --pipetrace[=FILE]
     std::string pipetracePath;  //!< "" = stderr

@@ -87,14 +87,15 @@ CommitStage::tick()
         }
     }
 
-    if (cpi_ || hot_)
-        account(committed, retire_port_stall);
+    account(committed, retire_port_stall);
 }
 
 /**
- * One bucket per tick. Core::tick calls CommitStage::tick exactly once
- * per cycle, so the buckets sum to the cycle count by construction;
- * the tree below only decides WHICH bucket this cycle lands in.
+ * One bucket per tick, counted in the core's slot 0 (System::result()
+ * moves it to the core's own slot). Core::tick calls CommitStage::tick
+ * exactly once per cycle, so the buckets sum to the cycle count by
+ * construction; the tree below only decides WHICH bucket this cycle
+ * lands in.
  *
  * Priority (first match wins):
  *   committed > 0                      -> base
@@ -107,12 +108,8 @@ CommitStage::tick()
 void
 CommitStage::account(unsigned committed, bool retire_port_stall)
 {
-    using obs::CpiBucket;
-
     if (hot_ && committed == 0 && !s_.rob.empty())
         hot_->stall(s_.rob.front()->rec.pc);
-    if (!cpi_)
-        return;
 
     CpiBucket b = CpiBucket::Drain;
     if (committed > 0) {
@@ -168,7 +165,7 @@ CommitStage::account(unsigned committed, bool retire_port_stall)
           case FetchWait::None: b = CpiBucket::Drain; break;
         }
     }
-    cpi_->inc(b);
+    ++stats_.cpi[0][static_cast<unsigned>(b)];
 }
 
 } // namespace reno

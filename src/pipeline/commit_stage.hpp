@@ -10,7 +10,6 @@
 #pragma once
 
 #include "mem/hierarchy.hpp"
-#include "obs/cpistack.hpp"
 #include "obs/profiler.hpp"
 #include "pipeline/machine_state.hpp"
 #include "uarch/sim_result.hpp"
@@ -38,18 +37,13 @@ class CommitStage
     void setListener(RetireListener *listener) { listener_ = listener; }
     RetireListener *listener() const { return listener_; }
 
-    /** Attach CPI-stack / hotspot accounting (either may be null).
-     *  Core wires this once at construction when enabled. */
-    void
-    setCpi(obs::CpiStack *cpi, obs::HotspotProfile *hot)
-    {
-        cpi_ = cpi;
-        hot_ = hot;
-    }
+    /** Attach the hotspot profiler (null = off). Core wires this
+     *  once at construction when profiling is enabled. */
+    void setHotspots(obs::HotspotProfile *hot) { hot_ = hot; }
 
   private:
-    /** Classify this tick into exactly one CPI bucket (and charge
-     *  the hotspot profiler). Called once per tick when attached. */
+    /** Count this tick in exactly one CPI bucket of stats_ (and
+     *  charge the hotspot profiler). Called once per tick. */
     void account(unsigned committed, bool retire_port_stall);
 
     const CoreParams &params_;
@@ -59,7 +53,6 @@ class CommitStage
     MachineState &s_;
     SimResult &stats_;
     RetireListener *listener_ = nullptr;
-    obs::CpiStack *cpi_ = nullptr;
     obs::HotspotProfile *hot_ = nullptr;
 };
 

@@ -173,8 +173,7 @@ warmDigest(const SampleCheckpoint &ckpt)
 template <typename Warm>
 SimResult
 measureWindow(const CoreParams &params, const SpmdEmulators &emus,
-              const IntervalWindow &window, const Warm *restored,
-              obs::CpiStack *cpi_out)
+              const IntervalWindow &window, const Warm *restored)
 {
     const Warm *warm = restored;
     std::unique_ptr<Warm> scratch;
@@ -202,24 +201,12 @@ measureWindow(const CoreParams &params, const SpmdEmulators &emus,
         phase.setInsts(sys.result().retired);
     }
     const SimResult pre = sys.result();
-    std::vector<obs::CpiStack> pre_stacks(sys.numCores());
-    for (unsigned i = 0; i < sys.numCores(); ++i) {
-        if (sys.core(i).cpiStack())
-            pre_stacks[i] = *sys.core(i).cpiStack();
-    }
     SimResult post;
     {
         obs::PhaseSpan phase("sample.detailed");
         post = sys.runUntilRetired(window.warmupInsts +
                                    window.measureInsts);
         phase.setInsts(post.retired - pre.retired);
-    }
-    if (cpi_out) {
-        for (unsigned i = 0; i < sys.numCores(); ++i) {
-            if (sys.core(i).cpiStack())
-                cpi_out->accumulate(
-                    sys.core(i).cpiStack()->delta(pre_stacks[i]));
-        }
     }
     return deltaResult(post, pre);
 }
@@ -229,8 +216,7 @@ measureWindow(const CoreParams &params, const SpmdEmulators &emus,
 SimResult
 runIntervalDetailed(const Workload &workload, const CoreParams &params,
                     const IntervalWindow &window,
-                    const SampleCheckpoint *ckpt,
-                    obs::CpiStack *cpi_out)
+                    const SampleCheckpoint *ckpt)
 {
     if (window.measureInsts == 0)
         fatal("runIntervalDetailed: window has no measured insts");
@@ -257,26 +243,20 @@ runIntervalDetailed(const Workload &workload, const CoreParams &params,
     // The one core-count branch: which warm type supplies the tables.
     if (n == 1)
         return measureWindow(params, emus, window,
-                             resume ? ckpt->warm.get() : nullptr,
-                             cpi_out);
+                             resume ? ckpt->warm.get() : nullptr);
     return measureWindow(params, emus, window,
-                         resume ? ckpt->sysWarm.get() : nullptr,
-                         cpi_out);
+                         resume ? ckpt->sysWarm.get() : nullptr);
 }
 
 SampledEstimate
 aggregateIntervals(std::uint64_t total_insts,
                    const std::vector<PlannedInterval> &plan,
-                   const std::vector<SimResult> &windows,
-                   const std::vector<obs::CpiStack> *stacks)
+                   const std::vector<SimResult> &windows)
 {
     if (plan.size() != windows.size())
         fatal("aggregateIntervals: %zu planned intervals but %zu "
               "window results",
               plan.size(), windows.size());
-    if (stacks && stacks->size() != windows.size())
-        fatal("aggregateIntervals: %zu windows but %zu CPI stacks",
-              windows.size(), stacks->size());
 
     SampledEstimate est;
     est.totalInsts = total_insts;
@@ -289,7 +269,6 @@ aggregateIntervals(std::uint64_t total_insts,
     double core_cycles[NumCoreStatSlots] = {};
     double core_retired[NumCoreStatSlots] = {};
     std::uint64_t observed_rep = 0;
-    bool all_stacked = stacks != nullptr;
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const SimResult &w = windows[i];
         if (w.retired == 0 || w.cycles == 0)
@@ -299,34 +278,26 @@ aggregateIntervals(std::uint64_t total_insts,
         const double scale = static_cast<double>(plan[i].repInsts) /
                              static_cast<double>(w.retired);
         est_cycles += static_cast<double>(w.cycles) * scale;
-        // Per-core retire slots fold with the same stratum scale, so
-        // each slot's cycle/retire ratio is a stratified IPC estimate
-        // for that core.
+        // Per-core retire slots and CPI buckets fold with the same
+        // stratum scale, so each slot's cycle/retire ratio is a
+        // stratified IPC estimate for that core, and the buckets
+        // extrapolate the whole-program stack.
         for (unsigned s = 0; s < NumCoreStatSlots; ++s) {
             core_cycles[s] +=
                 static_cast<double>(w.coreCycles[s]) * scale;
             core_retired[s] +=
                 static_cast<double>(w.coreRetired[s]) * scale;
         }
-        // Window stacks extrapolate bucket-wise with the same scale;
-        // one measured window without a stack (e.g. a cache replay)
-        // poisons the whole-program stack, not just its stratum.
-        if (stacks) {
-            const obs::CpiStack &stk = (*stacks)[i];
-            if (stk.total() == 0)
-                all_stacked = false;
-            for (std::size_t b = 0; b < obs::NumCpiBuckets; ++b)
-                est.cpiEst[b] +=
-                    static_cast<double>(stk.cycles[b]) * scale;
+        for (unsigned b = 0; b < NumCpiBuckets; ++b) {
+            const auto bucket = static_cast<CpiBucket>(b);
+            est.cpiEst[b] += static_cast<double>(w.cpiCycles(bucket)) * scale;
         }
         observed_rep += plan[i].repInsts;
         if (!plan[i].exact)
             est.intervalIpc.push_back(w.ipc());
     }
-    if (est_cycles <= 0.0 || observed_rep == 0) {
-        est.cpiEst = {};
+    if (est_cycles <= 0.0 || observed_rep == 0)
         return est;
-    }
     for (unsigned s = 0; s < NumCoreStatSlots; ++s) {
         if (core_cycles[s] > 0.0 && core_retired[s] > 0.0)
             est.coreIpcEst[s] = core_retired[s] / core_cycles[s];
@@ -340,13 +311,8 @@ aggregateIntervals(std::uint64_t total_insts,
     est.estCycles =
         static_cast<std::uint64_t>(std::llround(est_cycles));
     est.ipc = static_cast<double>(total_insts) / est_cycles;
-    if (all_stacked && est.measuredIntervals > 0) {
-        for (double &b : est.cpiEst)
-            b *= coverage;
-        est.hasCpi = true;
-    } else {
-        est.cpiEst = {};
-    }
+    for (double &b : est.cpiEst)
+        b *= coverage;
 
     // 95% confidence half-width on the sampled windows' IPC mean.
     const std::size_t n = est.intervalIpc.size();

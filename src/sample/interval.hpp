@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "emu/emulator.hpp"
-#include "obs/cpistack.hpp"
 #include "sample/warmup.hpp"
 #include "uarch/core.hpp"
 #include "uarch/params.hpp"
@@ -160,16 +159,11 @@ struct SampleCheckpoint {
  * are bit-identical with or without it; any other checkpoint is
  * ignored. Returns an all-zero SimResult when every program ends
  * before the measured window begins.
- *
- * When @p cpi_out is non-null and obs::CpiAccounting is enabled, it
- * accumulates the measured window's CPI-stack delta, summed over the
- * cores; otherwise it is left untouched.
  */
 SimResult runIntervalDetailed(const Workload &workload,
                               const CoreParams &params,
                               const IntervalWindow &window,
-                              const SampleCheckpoint *ckpt = nullptr,
-                              obs::CpiStack *cpi_out = nullptr);
+                              const SampleCheckpoint *ckpt = nullptr);
 
 /** Whole-program estimate aggregated from measured windows. */
 struct SampledEstimate {
@@ -190,11 +184,10 @@ struct SampledEstimate {
 
     std::vector<double> intervalIpc;  //!< per sampled (non-exact) window
 
-    /** Extrapolated whole-program CPI stack (same stratified
-     *  estimator as estCycles), filled only when aggregateIntervals
-     *  was handed a window stack for every measured window. */
-    bool hasCpi = false;
-    std::array<double, obs::NumCpiBuckets> cpiEst{};
+    /** Extrapolated whole-program CPI stack by CpiBucket, summed
+     *  over the core slots (same stratified estimator as estCycles,
+     *  so the buckets sum to estCycles up to rounding). */
+    std::array<double, NumCpiBuckets> cpiEst{};
 };
 
 /**
@@ -203,18 +196,11 @@ struct SampledEstimate {
  * repInsts_i / retired_i), so an exactly-measured cold stratum
  * contributes its true cost and sampled strata extrapolate theirs.
  * @p windows must align one-to-one with @p plan (planIntervals
- * order).
- *
- * When @p stacks is non-null (aligned with @p windows), each window's
- * CPI-stack buckets extrapolate with the same stratum scale into
- * SampledEstimate::cpiEst. A measured window whose stack is empty
- * (e.g. replayed from a result cache that predates accounting)
- * invalidates the stack estimate: hasCpi stays false.
+ * order). The per-core slots and the CPI-stack buckets extrapolate
+ * with the same stratum scale.
  */
 SampledEstimate aggregateIntervals(std::uint64_t total_insts,
                                    const std::vector<PlannedInterval> &plan,
-                                   const std::vector<SimResult> &windows,
-                                   const std::vector<obs::CpiStack>
-                                       *stacks = nullptr);
+                                   const std::vector<SimResult> &windows);
 
 } // namespace reno::sample

@@ -285,8 +285,6 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
 
     SampledCampaign out;
     out.stats = results.stats();
-    const bool want_cpi =
-        obs::CpiAccounting::instance().stackEnabled();
     std::size_t cursor = 0;
     for (const WorkloadPrep &prep : preps) {
         for (const NamedConfig &cfg : configs) {
@@ -294,24 +292,16 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
             const std::vector<PlannedInterval> &plan_windows =
                 prep.windows.at(cores);
             std::vector<SimResult> windows;
-            std::vector<obs::CpiStack> stacks;
             windows.reserve(plan_windows.size());
-            stacks.reserve(plan_windows.size());
-            for (std::size_t i = 0; i < plan_windows.size(); ++i) {
-                const sweep::JobResult &jr = results.at(cursor++);
-                windows.push_back(jr.sim);
-                // A cache-replayed interval carries no stack; the
-                // zero stack makes aggregateIntervals drop hasCpi.
-                stacks.push_back(jr.cpi.valid ? jr.cpi.machine
-                                              : obs::CpiStack{});
-            }
+            for (std::size_t i = 0; i < plan_windows.size(); ++i)
+                windows.push_back(results.at(cursor++).sim);
             SampledRun run;
             run.workload = prep.workload;
             run.config = cfg.name;
             run.numCores = cores;
             run.est = aggregateIntervals(
                 prep.profiles.at(cores).totalInsts, plan_windows,
-                windows, want_cpi ? &stacks : nullptr);
+                windows);
             out.runs.push_back(std::move(run));
         }
     }

@@ -122,16 +122,10 @@ executeJob(const Job &job)
         if (job.wantCpa)
             fatal("critical-path analysis is not supported for "
                   "sampled jobs");
-        obs::CpiStack window_stack;
         r.sim = sample::runIntervalDetailed(*job.workload,
                                             job.config.params,
                                             job.window,
-                                            &job.checkpoint,
-                                            &window_stack);
-        if (obs::CpiAccounting::instance().stackEnabled()) {
-            r.cpi.valid = true;
-            r.cpi.machine = window_stack;
-        }
+                                            &job.checkpoint);
         return r;
     }
     if (job.wantCpa) {
@@ -141,13 +135,13 @@ executeJob(const Job &job)
         RunOutput run =
             runWorkload(*job.workload, job.config.params, &cpa);
         r.sim = run.sim;
-        r.cpi = std::move(run.cpi);
+        r.hot = std::move(run.hot);
         r.hasCpa = true;
         r.cpaWeights = cpa.buckets();
     } else {
         RunOutput run = runWorkload(*job.workload, job.config.params);
         r.sim = run.sim;
-        r.cpi = std::move(run.cpi);
+        r.hot = std::move(run.hot);
     }
     return r;
 }

@@ -64,13 +64,12 @@ struct JobResult {
     std::array<std::uint64_t, NumCpBuckets> cpaWeights{};
 
     /**
-     * CPI-stack / hotspot side channel, valid only when
-     * obs::CpiAccounting was enabled while this job simulated.
-     * Deliberately NOT serialized by the result cache (the cache
-     * format and job digests are profiling-agnostic), so a cache hit
-     * always comes back with cpi.valid == false.
+     * Hotspot side channel, filled only when --profile-hot was on
+     * while this job simulated. Per-PC tables have no fixed shape, so
+     * job digests and the result-cache files leave them out: a job
+     * replayed from disk comes back without them.
      */
-    obs::CpiReport cpi;
+    obs::HotspotReport hot;
 
     /** Normalized critical-path breakdown (fractions summing to ~1). */
     std::array<double, NumCpBuckets>

@@ -10,9 +10,9 @@ namespace
 // canonical registry in uarch/sim_result.hpp, whose order is frozen
 // to this file format. v2 appended the per-memory-level counter
 // block, v3 the branch-prediction breakdown, v4 the multi-core
-// coherence + per-core block; older entries fail the tag check and
-// are recomputed.
-constexpr const char *FormatTag = "reno-result v4";
+// coherence + per-core block, v5 the per-core CPI stacks; older
+// entries fail the tag check and are recomputed.
+constexpr const char *FormatTag = "reno-result v5";
 constexpr const char *Ext = ".result";
 
 } // namespace
@@ -51,14 +51,9 @@ ResultCache::lookup(std::uint64_t digest, JobResult *out)
 void
 ResultCache::store(std::uint64_t digest, const JobResult &result)
 {
-    // The CPI-stack side channel is never cached (the disk format
-    // predates it); dropping it from the memory tier too keeps the
-    // invariant uniform: a cache hit never carries a stack.
-    JobResult cached = result;
-    cached.cpi = obs::CpiReport{};
     {
         std::lock_guard<std::mutex> lock(mu_);
-        mem_[digest] = std::move(cached);
+        mem_[digest] = result;
         ++stores_;
     }
     if (files_.enabled())

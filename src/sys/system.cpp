@@ -1,6 +1,7 @@
 #include "sys/system.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 #include "obs/trace.hpp"
@@ -128,19 +129,19 @@ System::result() const
     SimResult agg;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         SimResult c = cores_[i]->result();
-        // Each core reports itself in slot 0; remap to its own
-        // slot (deep cores aggregate into the last one) and keep the
-        // per-core arrays out of the whole-machine sum.
-        const std::uint64_t core_cycles = c.coreCycles[0];
-        const std::uint64_t core_retired = c.coreRetired[0];
-        c.coreCycles[0] = 0;
-        c.coreRetired[0] = 0;
-        for (const SimStatField &f : simResultFields())
-            statRef(agg, f) += statValue(c, f);
+        // Each core reports its per-core block in slot 0; move it to
+        // the core's own slot (deep cores aggregate into the last
+        // one) before the field-wise sum.
         const unsigned slot = static_cast<unsigned>(
             std::min<std::size_t>(i, NumCoreStatSlots - 1));
-        agg.coreCycles[slot] += core_cycles;
-        agg.coreRetired[slot] += core_retired;
+        if (slot != 0) {
+            c.coreCycles[slot] = std::exchange(c.coreCycles[0], 0);
+            c.coreRetired[slot] = std::exchange(c.coreRetired[0], 0);
+            for (unsigned b = 0; b < NumCpiBuckets; ++b)
+                c.cpi[slot][b] = std::exchange(c.cpi[0][b], 0);
+        }
+        for (const SimStatField &f : simResultFields())
+            statRef(agg, f) += statValue(c, f);
     }
     // System time is the interleaved cycle count, not the sum of the
     // cores' clocks.

@@ -31,7 +31,6 @@
 #include "bpred/predictor.hpp"
 #include "emu/emulator.hpp"
 #include "mem/hierarchy.hpp"
-#include "obs/cpistack.hpp"
 #include "obs/profiler.hpp"
 #include "pipeline/commit_stage.hpp"
 #include "pipeline/fetch_stage.hpp"
@@ -85,9 +84,6 @@ class Core
     /** The explicit machine state (tests, visualization). */
     const MachineState &machineState() const { return state_; }
 
-    /** CPI-stack accountant (null unless CpiAccounting enabled it at
-     *  construction). Sum of its buckets == now() by construction. */
-    const obs::CpiStack *cpiStack() const { return cpi_.get(); }
     /** Hotspot profiler (null unless enabled at construction). */
     const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
@@ -110,9 +106,8 @@ class Core
     /** The pipeline's counters; the stages increment its fields. */
     SimResult counts_;
 
-    /** CPI accounting, allocated only when CpiAccounting says so at
-     *  construction -- a disabled run never touches these. */
-    std::unique_ptr<obs::CpiStack> cpi_;
+    /** Hotspot profiler, allocated only when HotspotProfile::topN()
+     *  is set at construction -- a disabled run never touches it. */
     std::unique_ptr<obs::HotspotProfile> hot_;
 
     FetchStage fetch_;

@@ -4,8 +4,9 @@
  * registry that single-sources every consumer of those statistics:
  * the result-cache serialization (src/sweep/result_cache.cpp), the
  * sampled-simulation window delta/accumulate algebra
- * (src/sample/interval.cpp) and the full named-stat report records
- * (src/sweep/reporter.cpp). Adding a SimResult field without
+ * (src/sample/interval.cpp), the full named-stat report records
+ * (src/sweep/reporter.cpp) and the CPI-stack reports
+ * (src/obs/cpireport.cpp). Adding a SimResult field without
  * extending the registry trips the static_assert below instead of
  * silently dropping the field from caches, deltas and reports.
  */
@@ -42,6 +43,58 @@ inline constexpr const char *MemStatLevelNames[NumMemStatLevels] = {
 inline constexpr unsigned NumCoreStatSlots = 4;
 inline constexpr const char *CoreStatSlotNames[NumCoreStatSlots] = {
     "c0", "c1", "c2", "c3"};
+
+/**
+ * One leaf of the CPI stack: a commit-cycle breakdown in the style of
+ * Eyerman et al. (ASPLOS 2006). CommitStage::account() puts every
+ * commit-stage cycle in exactly one bucket:
+ *
+ *   base                     committed >= 1 instruction this cycle
+ *   frontend.icache          ROB empty, fetch waiting on the I-cache
+ *   frontend.bpred           ROB empty behind a mispredict redirect
+ *   backend.rob              head renamed+issued, draining exec latency,
+ *                            or rename blocked on a full ROB
+ *   backend.iq               head waiting to issue (or rename blocked
+ *                            on a full issue queue)
+ *   backend.pregs            rename blocked on free physical registers
+ *   backend.lsq              head blocked on a memory dependence, a
+ *                            store draining, or rename blocked on a
+ *                            full LQ/SQ
+ *   backend.dcache.l1        head is a load serviced by the L1 / a
+ *                            forwarding store (port + hit latency)
+ *   backend.dcache.l2        head is a load serviced by a shared level
+ *   backend.dcache.mem       head is a load serviced by memory
+ *   backend.coherence        head is a load delayed by the MESI bus
+ *   drain                    retire-port vortex, squash refill,
+ *                            startup/finish bubbles
+ *
+ * A core ticks its commit stage once per cycle, so a core slot's
+ * buckets sum to its coreCycles exactly. Keep in sync with
+ * CpiBucketNames and RENO_CPI_SLOT_FIELDS.
+ */
+enum class CpiBucket : std::uint8_t {
+    Base,
+    FrontIcache,
+    FrontBpred,
+    BackRob,
+    BackIq,
+    BackPregs,
+    BackLsq,
+    BackDcacheL1,
+    BackDcacheL2,
+    BackDcacheMem,
+    BackCoherence,
+    Drain,
+};
+
+inline constexpr unsigned NumCpiBuckets = 12;
+
+/** Dotted hierarchical bucket names, the CPI report keys. */
+inline constexpr const char *CpiBucketNames[NumCpiBuckets] = {
+    "base",           "frontend.icache",   "frontend.bpred",
+    "backend.rob",    "backend.iq",        "backend.pregs",
+    "backend.lsq",    "backend.dcache.l1", "backend.dcache.l2",
+    "backend.dcache.mem", "backend.coherence", "drain"};
 
 /** Summary statistics of one simulation run. All fields are monotonic
  *  counters, so a measurement window's contribution is the field-wise
@@ -110,6 +163,21 @@ struct SimResult {
     std::uint64_t coreCycles[NumCoreStatSlots] = {};
     std::uint64_t coreRetired[NumCoreStatSlots] = {};
 
+    /** CPI stack (v5): commit-stage cycles by core slot and CpiBucket.
+     *  Slots fold like coreCycles, and each slot's buckets sum to its
+     *  coreCycles. */
+    std::uint64_t cpi[NumCoreStatSlots][NumCpiBuckets] = {};
+
+    /** Whole-machine cycles in bucket @p b: the sum over core slots. */
+    std::uint64_t
+    cpiCycles(CpiBucket b) const
+    {
+        std::uint64_t sum = 0;
+        for (const auto &slot : cpi)
+            sum += slot[static_cast<unsigned>(b)];
+        return sum;
+    }
+
     double ipc() const { return cycles ? double(retired) / cycles : 0.0; }
 
     /** IPC of one core slot (multi-core runs; slot 0 == ipc() for a
@@ -157,11 +225,12 @@ static_assert(std::is_standard_layout_v<SimResult>,
               "SimStatField offsets require standard layout");
 
 // Registry order is the result-cache file order (format "reno-result
-// v4"): the scalar counters in declaration order, then the elim
+// v5"): the scalar counters in declaration order, then the elim
 // array, then the per-memory-level counter block appended by v2,
 // then the branch-prediction block appended by v3, then the
-// multi-core coherence + per-core block appended by v4. Do not
-// reorder -- persisted cache entries depend on it.
+// multi-core coherence + per-core block appended by v4, then the
+// per-core CPI stacks appended by v5. Do not reorder -- persisted
+// cache entries depend on it.
 #define RENO_ELIM_FIELD(k) \
     {"elim" #k, offsetof(SimResult, elim) + (k) * sizeof(std::uint64_t)}
 #define RENO_CORESLOT_FIELDS(arr, suffix)                           \
@@ -172,6 +241,23 @@ static_assert(std::is_standard_layout_v<SimResult>,
      offsetof(SimResult, arr) + 2 * sizeof(std::uint64_t)},         \
     {"c3" suffix,                                                   \
      offsetof(SimResult, arr) + 3 * sizeof(std::uint64_t)}
+#define RENO_CPI_FIELD(slot, b, name)                              \
+    {"c" #slot "Cpi" name,                                         \
+     offsetof(SimResult, cpi) +                                    \
+         ((slot) * NumCpiBuckets + (b)) * sizeof(std::uint64_t)}
+#define RENO_CPI_SLOT_FIELDS(slot)                                 \
+    RENO_CPI_FIELD(slot, 0, "Base"),                               \
+    RENO_CPI_FIELD(slot, 1, "FrontendIcache"),                     \
+    RENO_CPI_FIELD(slot, 2, "FrontendBpred"),                      \
+    RENO_CPI_FIELD(slot, 3, "BackendRob"),                         \
+    RENO_CPI_FIELD(slot, 4, "BackendIq"),                          \
+    RENO_CPI_FIELD(slot, 5, "BackendPregs"),                       \
+    RENO_CPI_FIELD(slot, 6, "BackendLsq"),                         \
+    RENO_CPI_FIELD(slot, 7, "BackendDcacheL1"),                    \
+    RENO_CPI_FIELD(slot, 8, "BackendDcacheL2"),                    \
+    RENO_CPI_FIELD(slot, 9, "BackendDcacheMem"),                   \
+    RENO_CPI_FIELD(slot, 10, "BackendCoherence"),                  \
+    RENO_CPI_FIELD(slot, 11, "Drain")
 #define RENO_MEMLEVEL_FIELDS(arr, suffix)                          \
     {"icache" suffix, offsetof(SimResult, arr)},                   \
     {"dcache" suffix,                                              \
@@ -226,7 +312,13 @@ inline constexpr SimStatField SimResultFields[] = {
     {"cohWritebacks", offsetof(SimResult, cohWritebacks)},
     RENO_CORESLOT_FIELDS(coreCycles, "Cycles"),
     RENO_CORESLOT_FIELDS(coreRetired, "Retired"),
+    RENO_CPI_SLOT_FIELDS(0),
+    RENO_CPI_SLOT_FIELDS(1),
+    RENO_CPI_SLOT_FIELDS(2),
+    RENO_CPI_SLOT_FIELDS(3),
 };
+#undef RENO_CPI_SLOT_FIELDS
+#undef RENO_CPI_FIELD
 #undef RENO_CORESLOT_FIELDS
 #undef RENO_MEMLEVEL_FIELDS
 #undef RENO_ELIM_FIELD
@@ -236,7 +328,10 @@ static_assert(NumElimKinds == 5,
 static_assert(NumMemStatLevels == 4,
               "new mem stat slot: extend RENO_MEMLEVEL_FIELDS above");
 static_assert(NumCoreStatSlots == 4,
-              "new core stat slot: extend RENO_CORESLOT_FIELDS above");
+              "new core stat slot: extend RENO_CORESLOT_FIELDS and "
+              "the RENO_CPI_SLOT_FIELDS rows above");
+static_assert(NumCpiBuckets == 12,
+              "new CPI bucket: extend RENO_CPI_SLOT_FIELDS above");
 static_assert(std::size(SimResultFields) * sizeof(std::uint64_t) ==
                   sizeof(SimResult),
               "SimResult changed: update SimResultFields");

@@ -5,7 +5,7 @@
  * The paper evaluates SPECint2000 and MediaBench compiled for Alpha
  * with -O3. Neither suite is redistributable here, so the repository
  * carries two suites of hand-written assembly kernels implementing the
- * same categories of computation (see DESIGN.md for the mapping).
+ * same categories of computation.
  * The kernels are written the way optimized compiler output looks:
  * stack frames with callee-save spills, argument moves, register-
  * immediate address arithmetic and loop control - the idioms whose

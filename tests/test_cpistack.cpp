@@ -2,26 +2,27 @@
  * @file
  * CPI-stack and hotspot-profiler tests. The load-bearing property is
  * the accounting identity: every commit-stage cycle lands in exactly
- * one bucket, so a stack sums to the core's cycle count by
- * construction -- checked here on every workload of the synth, mem,
- * branch and multi suites (single- and multi-core, detailed and
- * sampled). Profiling is also proven inert: SimResult is field-wise
- * identical with accounting on or off, so job digests, caching and
- * goldens never depend on observability state.
+ * one bucket, so each core slot's SimResult::cpi row sums to that
+ * slot's coreCycles by construction -- checked here on every workload
+ * of the synth, mem, branch and multi suites (single- and multi-core,
+ * detailed and sampled). Hotspot profiling is also proven inert:
+ * SimResult is field-wise identical with it on or off, so job
+ * digests, caching and goldens never depend on observability state.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "obs/cpireport.hpp"
-#include "obs/cpistack.hpp"
 #include "obs/profiler.hpp"
 #include "sample/interval.hpp"
 #include "sample/sampler.hpp"
+#include "sweep/campaign.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace reno;
@@ -30,18 +31,10 @@ using namespace reno::obs;
 namespace
 {
 
-/** RAII accounting activation; never leaks into the next test. */
-struct CpiGuard {
-    explicit CpiGuard(bool stack, unsigned hot_top_n = 0)
-    {
-        CpiAccounting::instance().setStackEnabled(stack);
-        CpiAccounting::instance().setHotspotTopN(hot_top_n);
-    }
-    ~CpiGuard()
-    {
-        CpiAccounting::instance().setStackEnabled(false);
-        CpiAccounting::instance().setHotspotTopN(0);
-    }
+/** RAII hotspot profiling; never leaks into the next test. */
+struct HotGuard {
+    explicit HotGuard(unsigned top_n) { HotspotProfile::setTopN(top_n); }
+    ~HotGuard() { HotspotProfile::setTopN(0); }
 };
 
 NamedConfig
@@ -52,38 +45,72 @@ renoConfig(const char *name = "RENO")
     return cfg;
 }
 
+std::uint64_t
+slotTotal(const SimResult &r, unsigned slot)
+{
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : r.cpi[slot])
+        sum += c;
+    return sum;
+}
+
+/** Every core slot's stack sums to that slot's cycle count. */
+void
+expectSlotsSumToCycles(const SimResult &r, const std::string &what)
+{
+    for (unsigned s = 0; s < NumCoreStatSlots; ++s)
+        EXPECT_EQ(slotTotal(r, s), r.coreCycles[s]) << what << " c" << s;
+}
+
 } // namespace
 
-TEST(CpiStack, BucketArithmeticAndNames)
+TEST(CpiStack, BucketsAreRegistryFieldsSummedOverSlots)
 {
-    CpiStack a;
-    EXPECT_EQ(a.total(), 0u);
-    a.inc(CpiBucket::Base);
-    a.inc(CpiBucket::Base);
-    a.inc(CpiBucket::BackDcacheMem);
-    EXPECT_EQ(a.total(), 3u);
-    EXPECT_EQ(a.get(CpiBucket::Base), 2u);
-
-    CpiStack b = a;
-    b.inc(CpiBucket::FrontIcache);
-    const CpiStack d = b.delta(a);
-    EXPECT_EQ(d.total(), 1u);
-    EXPECT_EQ(d.get(CpiBucket::FrontIcache), 1u);
-
-    CpiStack sum;
-    sum.accumulate(a);
-    sum.accumulate(d);
-    EXPECT_EQ(sum.total(), b.total());
-
     // Names are the JSON/report contract: present and distinct.
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < NumCpiBuckets; ++i) {
-        const char *n = cpiBucketName(static_cast<CpiBucket>(i));
+    std::set<std::string> names;
+    for (const char *n : CpiBucketNames) {
         ASSERT_NE(n, nullptr);
-        for (const std::string &prev : names)
-            EXPECT_NE(prev, n);
-        names.push_back(n);
+        EXPECT_TRUE(names.insert(n).second) << n;
     }
+
+    // Every (slot, bucket) cell is a registry field named after its
+    // slot, so the cache, deltas and --all-stats all carry it.
+    SimResult r;
+    r.cpi[0][static_cast<unsigned>(CpiBucket::Base)] = 2;
+    r.cpi[3][static_cast<unsigned>(CpiBucket::Base)] = 5;
+    r.cpi[1][static_cast<unsigned>(CpiBucket::Drain)] = 7;
+    unsigned cpi_fields = 0;
+    std::uint64_t cpi_sum = 0;
+    for (const SimStatField &f : simResultFields()) {
+        const std::string name = f.name;
+        if (name.size() > 5 && name.compare(2, 3, "Cpi") == 0) {
+            ++cpi_fields;
+            cpi_sum += statValue(r, f);
+        }
+    }
+    EXPECT_EQ(cpi_fields, NumCoreStatSlots * NumCpiBuckets);
+    EXPECT_EQ(cpi_sum, 14u);
+    EXPECT_EQ(r.cpiCycles(CpiBucket::Base), 7u);
+    EXPECT_EQ(r.cpiCycles(CpiBucket::Drain), 7u);
+    EXPECT_EQ(r.cpiCycles(CpiBucket::BackIq), 0u);
+}
+
+TEST(CpiStack, JsonFoldsDeepCoresIntoTheLastSlot)
+{
+    // Six cores report four per-core stacks: cores 3..5 share "c3".
+    CpiRow row{"w", "RENO/6c", 6, {}, {}};
+    for (unsigned s = 0; s < NumCoreStatSlots; ++s) {
+        row.sim.cpi[s][static_cast<unsigned>(CpiBucket::Base)] = s + 1;
+        row.sim.coreCycles[s] = s + 1;
+    }
+    const std::string json = renderCpiJson({row});
+    std::size_t per_core = 0;
+    for (std::size_t at = json.find("{\"cycles\": ");
+         at != std::string::npos; at = json.find("{\"cycles\": ", at + 1))
+        ++per_core;
+    // Four slots plus the campaign aggregate.
+    EXPECT_EQ(per_core, NumCoreStatSlots + 1) << json;
+    EXPECT_NE(json.find("\"cycles\": 10,"), std::string::npos) << json;
 }
 
 TEST(HotspotProfile, CountsRanksAndDropsDeterministically)
@@ -123,44 +150,38 @@ TEST(HotspotProfile, CountsRanksAndDropsDeterministically)
 
 TEST(CpiStack, SumsExactlyToCyclesOnEverySuiteWorkload)
 {
-    const CpiGuard guard(true, 10);
-    const NamedConfig cfg = renoConfig();
+    // Every workload of the four suites on one and on two cores, run
+    // as one campaign on up to four workers.
+    const HotGuard guard(10);
+    const NamedConfig one = renoConfig();
+    const NamedConfig two = renoConfig("RENO/2c");
+    sweep::Campaign campaign;
+    for (const char *suite : {"synth", "mem", "branch", "multi"})
+        campaign.addCross(suiteWorkloads(suite), {one, two});
+    sweep::CampaignOptions options;
+    options.jobs = 4;
+    const sweep::CampaignResults results = campaign.run(options);
+    ASSERT_EQ(results.stats().simulated, results.size());
 
-    // Single-core detailed: machine stack == cycles, exactly.
-    for (const char *suite : {"synth", "mem", "branch"}) {
-        for (const Workload *w : suiteWorkloads(suite)) {
-            const RunOutput out = runWorkload(*w, cfg.params);
-            ASSERT_TRUE(out.cpi.valid) << w->name;
-            EXPECT_EQ(out.cpi.machine.total(), out.sim.cycles)
-                << w->name;
-            ASSERT_EQ(out.cpi.perCore.size(), 1u) << w->name;
-            EXPECT_EQ(out.cpi.perCore[0].total(), out.sim.cycles)
-                << w->name;
-            // Retired instructions all passed through the profiler.
-            std::uint64_t profiled = 0;
-            for (const auto &e :
-                 out.cpi.hotRetired)
-                profiled += e.retired;
-            EXPECT_GT(profiled, 0u) << w->name;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SimResult &sim = results.at(i).sim;
+        const std::string what = results.job(i).workload->name + " " +
+                                 results.job(i).config.name;
+        // Each core's slot sums to that core's own cycle count
+        // (cores freeze independently); one core fills slot 0 only.
+        expectSlotsSumToCycles(sim, what);
+        if (results.job(i).config.params.sys.numCores == 1) {
+            EXPECT_EQ(slotTotal(sim, 0), sim.cycles) << what;
+            EXPECT_EQ(slotTotal(sim, 1), 0u) << what;
+        } else {
+            EXPECT_GT(slotTotal(sim, 1), 0u) << what;
+            EXPECT_EQ(slotTotal(sim, 2), 0u) << what;
         }
-    }
-
-    // Multi-core detailed: each core's stack sums to that core's own
-    // cycle count (cores freeze independently), and the machine stack
-    // is their exact sum.
-    const NamedConfig cfg2 = renoConfig("RENO/2c");
-    for (const Workload *w : suiteWorkloads("multi")) {
-        const RunOutput out = runWorkload(*w, cfg2.params);
-        ASSERT_TRUE(out.cpi.valid) << w->name;
-        ASSERT_EQ(out.cpi.perCore.size(), 2u) << w->name;
-        std::uint64_t sum = 0;
-        for (unsigned c = 0; c < 2; ++c) {
-            EXPECT_EQ(out.cpi.perCore[c].total(),
-                      out.sim.coreCycles[c])
-                << w->name << " core " << c;
-            sum += out.cpi.perCore[c].total();
-        }
-        EXPECT_EQ(out.cpi.machine.total(), sum) << w->name;
+        // Retired instructions all passed through the profiler.
+        std::uint64_t profiled = 0;
+        for (const auto &e : results.at(i).hot.retired)
+            profiled += e.retired;
+        EXPECT_GT(profiled, 0u) << what;
     }
 }
 
@@ -172,14 +193,14 @@ TEST(CpiStack, SimResultIsByteIdenticalWithProfilingOnAndOff)
     const SimResult off = runWorkload(w, cfg.params).sim;
     SimResult on;
     {
-        const CpiGuard guard(true, 20);
+        const HotGuard guard(20);
         const RunOutput out = runWorkload(w, cfg.params);
-        EXPECT_TRUE(out.cpi.valid);
+        EXPECT_FALSE(out.hot.retired.empty());
         on = out.sim;
     }
     const SimResult off_again = runWorkload(w, cfg.params).sim;
 
-    // Every canonical counter, not a hand-picked subset: accounting
+    // Every canonical counter, not a hand-picked subset: profiling
     // must never perturb simulation (digests and goldens depend on
     // this).
     for (const SimStatField &field : simResultFields()) {
@@ -192,7 +213,6 @@ TEST(CpiStack, SimResultIsByteIdenticalWithProfilingOnAndOff)
 
 TEST(CpiStack, SampledWindowStackMatchesWindowCycles)
 {
-    const CpiGuard guard(true);
     const Workload &w = workloadByName("synth.plain");
     const NamedConfig cfg = renoConfig();
 
@@ -200,21 +220,19 @@ TEST(CpiStack, SampledWindowStackMatchesWindowCycles)
     win.startInst = 50'000;
     win.warmupInsts = 500;
     win.measureInsts = 5000;
-    CpiStack stack;
-    const SimResult delta = sample::runIntervalDetailed(
-        w, cfg.params, win, nullptr, &stack);
-    EXPECT_EQ(stack.total(), delta.cycles);
+    const SimResult delta =
+        sample::runIntervalDetailed(w, cfg.params, win, nullptr);
+    EXPECT_EQ(slotTotal(delta, 0), delta.cycles);
+    expectSlotsSumToCycles(delta, w.name);
 
-    // Multi-core window: the stack delta sums the per-core cycle
-    // deltas, matching SimResult's per-core counters exactly.
+    // Multi-core window: each slot's stack delta matches that core's
+    // cycle delta exactly.
     const NamedConfig cfg2 = renoConfig("RENO/2c");
     const Workload &mw = workloadByName("multi.false");
-    CpiStack stack2;
-    const SimResult delta2 = sample::runIntervalDetailed(
-        mw, cfg2.params, win, nullptr, &stack2);
-    EXPECT_EQ(stack2.total(),
-              delta2.coreCycles[0] + delta2.coreCycles[1]);
-    EXPECT_GT(stack2.total(), 0u);
+    const SimResult delta2 =
+        sample::runIntervalDetailed(mw, cfg2.params, win, nullptr);
+    expectSlotsSumToCycles(delta2, mw.name);
+    EXPECT_GT(slotTotal(delta2, 0) + slotTotal(delta2, 1), 0u);
 }
 
 TEST(CpiStack, SampledExtrapolationTracksFullDetailWithinGate)
@@ -223,14 +241,13 @@ TEST(CpiStack, SampledExtrapolationTracksFullDetailWithinGate)
     std::vector<const Workload *> workloads =
         suiteWorkloads("synth");
 
-    // Full-detail truth with accounting off: the baseline the sampled
-    // stack must track (same 5% gate as the IPC estimate -- the stack
-    // total IS the cycle estimate under the same estimator).
+    // Full-detail truth: the baseline the sampled stack must track
+    // (same 5% gate as the IPC estimate -- the stack total IS the
+    // cycle estimate under the same estimator).
     std::vector<std::uint64_t> full_cycles;
     for (const Workload *w : workloads)
         full_cycles.push_back(runWorkload(*w, cfg.params).sim.cycles);
 
-    const CpiGuard guard(true);
     sample::SampleOptions options;
     options.campaign.jobs = 1;
     const sample::SampledCampaign sampled =
@@ -239,7 +256,6 @@ TEST(CpiStack, SampledExtrapolationTracksFullDetailWithinGate)
 
     for (std::size_t i = 0; i < sampled.runs.size(); ++i) {
         const sample::SampledEstimate &est = sampled.runs[i].est;
-        ASSERT_TRUE(est.hasCpi) << workloads[i]->name;
         double stack_sum = 0.0;
         for (const double b : est.cpiEst)
             stack_sum += b;

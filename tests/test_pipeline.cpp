@@ -25,7 +25,6 @@
 #include "sample/interval.hpp"
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
-#include "obs/cpistack.hpp"
 #include "run_kernel.hpp"
 #include "sweep/thread_pool.hpp"
 #include "sys/system.hpp"
@@ -574,32 +573,24 @@ kernelScheduleDigest(const char *src, const RenoConfig &config)
     return digest.fnv.value();
 }
 
-/** RAII CPI-stack accounting; never leaks into the next test. */
-struct CpiStackOn {
-    CpiStackOn() { obs::CpiAccounting::instance().setStackEnabled(true); }
-    ~CpiStackOn()
-    {
-        obs::CpiAccounting::instance().setStackEnabled(false);
-    }
-};
-
-/** Every SimResult registry field, then each core's CPI stack. */
+/** Every SimResult registry field before the CPI block, then each
+ *  core slot's CPI stack (the text the digests were recorded on). */
 std::string
-renderMultiCore(const RunOutput &out)
+renderMultiCore(const SimResult &sim)
 {
     std::string text;
-    for (const SimStatField &f : simResultFields())
+    for (const SimStatField &f : simResultFields()) {
+        if (f.offset >= offsetof(SimResult, cpi))
+            continue;
         text += strprintf("%s=%llu\n", f.name,
                           static_cast<unsigned long long>(
-                              statValue(out.sim, f)));
-    for (std::size_t c = 0; c < out.cpi.perCore.size(); ++c) {
-        for (std::size_t b = 0; b < obs::NumCpiBuckets; ++b) {
-            const auto bucket = static_cast<obs::CpiBucket>(b);
-            text += strprintf("core%zu.%s=%llu\n", c,
-                              obs::cpiBucketName(bucket),
+                              statValue(sim, f)));
+    }
+    for (unsigned c = 0; c < NumCoreStatSlots; ++c) {
+        for (unsigned b = 0; b < NumCpiBuckets; ++b)
+            text += strprintf("core%u.%s=%llu\n", c, CpiBucketNames[b],
                               static_cast<unsigned long long>(
-                                  out.cpi.perCore[c].get(bucket)));
-        }
+                                  sim.cpi[c][b]));
     }
     return text;
 }
@@ -650,16 +641,12 @@ TEST(ScheduleGoldenDigest, MultiSuiteAtFourCores)
     ASSERT_TRUE(configByName("RENO/4c", CoreParams::fourWide(), &cfg));
     const std::vector<const Workload *> suite = suiteWorkloads("multi");
     ASSERT_EQ(suite.size(), std::size(MultiGolden));
-    std::vector<RunOutput> out(suite.size());
-    {
-        const CpiStackOn cpi;
-        forEachOnPool(suite.size(), [&](std::size_t i) {
-            out[i] = runWorkload(*suite[i], cfg.params);
-        });
-    }
+    std::vector<SimResult> out(suite.size());
+    forEachOnPool(suite.size(), [&](std::size_t i) {
+        out[i] = runWorkload(*suite[i], cfg.params).sim;
+    });
     for (std::size_t i = 0; i < suite.size(); ++i) {
         ASSERT_EQ(suite[i]->name, MultiGolden[i].workload);
-        ASSERT_EQ(out[i].cpi.perCore.size(), 4u) << suite[i]->name;
         const std::string text = renderMultiCore(out[i]);
         EXPECT_EQ(Fnv64().update(text).value(), MultiGolden[i].digest)
             << suite[i]->name << " diverged; it now reports:\n" << text;

@@ -260,7 +260,10 @@ TEST(Interval, SingleCoreWindowsMatchFrozenGolden)
     // dedicated single-core engine that ran before every window became
     // a System: the paper's hierarchy, and a deep one (L3, stride
     // prefetchers, write-back traffic) whose every shared level
-    // carries warmed state into the System. Unlisted fields are zero.
+    // carries warmed state into the System. The c0Cpi* stack fields
+    // were added with the registry's CPI block; they equal the window
+    // stacks the earlier side-channel accounting reported. Unlisted
+    // fields are zero.
     struct Golden {
         const char *workload;
         const char *config;
@@ -276,7 +279,9 @@ TEST(Interval, SingleCoreWindowsMatchFrozenGolden)
           {"elim0", 3426}, {"elim1", 168}, {"elim2", 1310}, {"elim4", 96},
           {"icacheHits", 1032}, {"dcacheHits", 1118}, {"l2Hits", 2},
           {"bpDirMispredicts", 72}, {"c0Cycles", 2057},
-          {"c0Retired", 5000}}},
+          {"c0Retired", 5000}, {"c0CpiBase", 1577},
+          {"c0CpiFrontendBpred", 132}, {"c0CpiBackendRob", 36},
+          {"c0CpiBackendIq", 144}, {"c0CpiBackendDcacheL1", 168}}},
         {"mem.stream.1m", "RENO/l3/pf-stride/wb", 300'000,
          {{"cycles", 10430}, {"retired", 5000}, {"retiredLoads", 714},
           {"retiredStores", 714}, {"retiredBranches", 714},
@@ -287,7 +292,10 @@ TEST(Interval, SingleCoreWindowsMatchFrozenGolden)
           {"l2MshrMerges", 176}, {"dcacheWritebacks", 179},
           {"dcachePrefetchIssued", 3}, {"l2PrefetchIssued", 87},
           {"dcachePrefetchUseful", 3}, {"l2PrefetchUseful", 86},
-          {"c0Cycles", 10430}, {"c0Retired", 5000}}},
+          {"c0Cycles", 10430}, {"c0Retired", 5000},
+          {"c0CpiBase", 1430}, {"c0CpiBackendDcacheL1", 200},
+          {"c0CpiBackendDcacheL2", 8500},
+          {"c0CpiBackendDcacheMem", 300}}},
     };
     for (const Golden &g : goldens) {
         NamedConfig cfg;

@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "common/digest.hpp"
 #include "common/report.hpp"
@@ -215,6 +217,70 @@ TEST(Sweep, DiskCachePersistsAcrossInstances)
     EXPECT_EQ(warm.stats().cacheHits, 1u);
     EXPECT_TRUE(sameSim(cold.at(0).sim, warm.at(0).sim));
 
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, StaleFormatEntryIsResimulatedAndOverwritten)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         "reno_sweep_stale_test").string();
+    std::filesystem::remove_all(dir);
+
+    Campaign campaign;
+    campaign.add(workloadByName("adpcm.dec"),
+                 {"RENO", withReno(CoreParams::fourWide(),
+                                   RenoConfig::full())});
+    CampaignOptions opts;
+    opts.jobs = 1;
+    opts.cacheDir = dir;
+    const CampaignResults cold = campaign.run(opts);
+    ASSERT_EQ(cold.stats().simulated, 1u);
+
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path());
+    ASSERT_EQ(files.size(), 1u);
+    auto slurp = [&] {
+        std::ifstream in(files[0]);
+        std::stringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string v5 = slurp();
+    ASSERT_EQ(v5, ResultCache::encode(cold.at(0)));
+
+    // Rewrite the entry as the v4 format had it: the old tag and no
+    // CPI-stack lines (c<slot>Cpi<bucket>).
+    std::string v4;
+    std::istringstream lines(v5);
+    for (std::string line; std::getline(lines, line);) {
+        if (line == "reno-result v5")
+            line = "reno-result v4";
+        else if (line.compare(2, 3, "Cpi") == 0)
+            continue;
+        v4 += line + "\n";
+    }
+    ASSERT_NE(v4.size(), v5.size());
+    {
+        std::ofstream out(files[0], std::ios::trunc);
+        out << v4;
+    }
+
+    // The stale entry is a miss: simulated again, warned about, and
+    // overwritten by the current format.
+    ::testing::internal::CaptureStderr();
+    const CampaignResults stale = campaign.run(opts);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(stale.stats().simulated, 1u);
+    EXPECT_EQ(stale.stats().cacheHits, 0u);
+    EXPECT_NE(err.find("reno-result v5"), std::string::npos) << err;
+    EXPECT_EQ(ResultCache::encode(stale.at(0)),
+              ResultCache::encode(cold.at(0)));
+    EXPECT_EQ(slurp(), v5);
+
+    const CampaignResults warm = campaign.run(opts);
+    EXPECT_EQ(warm.stats().simulated, 0u);
     std::filesystem::remove_all(dir);
 }
 

@@ -61,9 +61,8 @@ usage(const char *argv0)
         "\n"
         "output:\n"
         "  --cpi-json FILE          write extrapolated whole-program\n"
-        "                           CPI stacks (requires --cpi-stack;\n"
-        "                           the same stratified estimator as\n"
-        "                           the IPC estimate)\n"
+        "                           CPI stacks (the same stratified\n"
+        "                           estimator as the IPC estimate)\n"
         "\n"
         "observability (off by default; results are byte-identical\n"
         "either way):\n"
@@ -77,9 +76,7 @@ usage(const char *argv0)
         "                           and the emulator block-cache\n"
         "                           counters\n"
         "  --progress[=FILE]        stream NDJSON progress heartbeats\n"
-        "                           (default sink: stderr)\n"
-        "  --cpi-stack              per-cycle CPI-stack accounting on\n"
-        "                           every measured window\n");
+        "                           (default sink: stderr)\n");
     std::exit(0);
 }
 
@@ -156,8 +153,6 @@ main(int argc, char **argv)
     options.campaign = sweep::parseCampaignArgs(argc, argv);
     const obs::ObsOptions obs_opts = obs::parseObsArgs(argc, argv);
     const obs::Session obs_session(obs_opts);
-    if (!cpi_json.empty() && !obs_opts.cpiStack)
-        fatal("--cpi-json requires --cpi-stack");
     if (!cpi_json.empty() && validate)
         fatal("--cpi-json cannot be combined with --validate");
 
@@ -199,25 +194,11 @@ main(int argc, char **argv)
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
 
     if (!cpi_json.empty()) {
-        // Extrapolated stacks; a run loses its stack when any of its
-        // measured windows replayed from a cache entry (the cache is
-        // profiling-agnostic), and such runs are skipped.
         std::vector<obs::SampledCpiRow> rows;
         for (const sample::SampledRun &run : sampled.runs) {
-            if (!run.est.hasCpi)
-                continue;
-            obs::SampledCpiRow row;
-            row.workload = run.workload->name;
-            row.config = run.config;
-            row.cores = run.numCores;
-            row.est = run.est.cpiEst;
-            rows.push_back(std::move(row));
+            rows.push_back({run.workload->name, run.config,
+                            run.numCores, run.est.cpiEst});
         }
-        if (rows.size() < sampled.runs.size())
-            std::fprintf(stderr,
-                         "[sample] cpi: %zu of %zu runs carry stacks "
-                         "(cache hits replay without profiling)\n",
-                         rows.size(), sampled.runs.size());
         if (!writeTextFile(cpi_json, obs::renderSampledCpiJson(rows)))
             return 1;
     }

@@ -14,7 +14,6 @@
 #include "common/log.hpp"
 #include "common/textfile.hpp"
 #include "obs/cpireport.hpp"
-#include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/reporter.hpp"
@@ -46,11 +45,10 @@ usage(const char *argv0)
         "  --all-stats              report every named SimResult"
         " counter\n"
         "  --cpi-json FILE          write per-job CPI stacks + the\n"
-        "                           campaign aggregate (requires\n"
-        "                           --cpi-stack)\n"
+        "                           campaign aggregate\n"
         "  --cpi-html FILE          write a self-contained HTML report\n"
         "                           (stacked bars per job, hotspot\n"
-        "                           tables; requires --cpi-stack)\n"
+        "                           tables)\n"
         "\n"
         "observability (off by default; results are byte-identical\n"
         "either way):\n"
@@ -64,9 +62,6 @@ usage(const char *argv0)
         "                           cache hit ratio, phase rates)\n"
         "  --progress[=FILE]        stream NDJSON progress heartbeats\n"
         "                           (default sink: stderr)\n"
-        "  --cpi-stack              per-cycle CPI-stack accounting\n"
-        "                           (every commit-stage cycle lands in\n"
-        "                           exactly one bucket)\n"
         "  --profile-hot[=N]        per-PC hotspot profiling, top N\n"
         "                           (default 20)\n"
         "  --pipetrace[=FILE]       retired-instruction pipeline\n"
@@ -131,9 +126,6 @@ main(int argc, char **argv)
     const obs::ObsOptions obs_opts = obs::parseObsArgs(argc, argv);
     const obs::Session obs_session(obs_opts);
 
-    if ((!cpi_json.empty() || !cpi_html.empty()) && !obs_opts.cpiStack)
-        fatal("--cpi-json/--cpi-html require --cpi-stack");
-
     sweep::Campaign campaign;
     for (const Workload *w : sel.workloads) {
         for (const NamedConfig &cfg : sel.configs)
@@ -146,30 +138,15 @@ main(int argc, char **argv)
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
 
     if (!cpi_json.empty() || !cpi_html.empty()) {
-        // Per-job CPI stacks + hotspots. Only jobs that actually
-        // simulated under accounting carry a stack; a cache-hit job
-        // (replayed from a profiling-agnostic cache entry) does not,
-        // and the report says so rather than inventing zeros.
+        // Per-job CPI stacks (registry fields, so cache hits carry
+        // them too) + hotspots.
         std::vector<obs::CpiRow> rows;
         for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results.at(i).cpi.valid)
-                continue;
             const sweep::Job &job = results.job(i);
-            obs::CpiRow row;
-            row.workload = job.workload->name;
-            row.config = job.config.name;
-            row.cores = job.config.params.sys.numCores;
-            row.report = results.at(i).cpi;
-            rows.push_back(std::move(row));
+            rows.push_back({job.workload->name, job.config.name,
+                            job.config.params.sys.numCores,
+                            results.at(i).sim, results.at(i).hot});
         }
-        obs::MetricsRegistry::instance()
-            .counter("cpi.jobs_with_stacks")
-            .inc(rows.size());
-        if (rows.size() < results.size())
-            std::fprintf(stderr,
-                         "[sweep] cpi: %zu of %zu jobs carry stacks "
-                         "(cache hits replay without profiling)\n",
-                         rows.size(), results.size());
         if (!cpi_json.empty() &&
             !writeTextFile(cpi_json, obs::renderCpiJson(rows)))
             return 1;
