@@ -12,17 +12,15 @@
  * gate.
  *
  * usage: emu_throughput [--suite S] [--repeat N] [--out FILE]
- *   --suite S    workload suite to time (default synth)
- *   --repeat N   timed repetitions per mode; best-of-N (default 3)
- *   --out FILE   JSON artifact path (default BENCH_emu.json)
+ * (`emu_throughput --help` describes them).
  */
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
@@ -147,23 +145,15 @@ main(int argc, char **argv)
     std::string suite = "synth";
     std::string out = "BENCH_emu.json";
     unsigned repeat = 3;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--suite")
-            suite = value();
-        else if (arg == "--out")
-            out = value();
-        else if (arg == "--repeat")
-            repeat = static_cast<unsigned>(std::stoul(value()));
-        else
-            fatal("unknown flag %s (try --suite/--repeat/--out)",
-                  arg.c_str());
-    }
+    FlagTable table;
+    table.value("--suite", "S", "workload suite to time (default synth)",
+                &suite);
+    table.number("--repeat", "N",
+                 "timed repetitions per mode; best-of-N (default 3)",
+                 &repeat);
+    table.value("--out", "FILE",
+                "JSON artifact path (default BENCH_emu.json)", &out);
+    table.parse(argc, argv);
     if (repeat == 0)
         repeat = 1;
 

@@ -3,12 +3,9 @@
  * reno-figures: the paper's evaluation -- Figures 8-12 and the
  * section 2.4 / 3.2 / 3.3 ablations -- from one campaign.
  *
- * usage: reno-figures [--figure NAME]... [--list]
- *                     [--jobs N] [--cache-dir D] [--sweep-stats]
- *   --figure NAME  print this figure (repeatable; default: every one)
- *   --list         print each figure's name and paper reference
- *   --jobs N, --cache-dir D, --sweep-stats
- *                  the campaign engine's flags (sweep/campaign.hpp)
+ * `reno-figures --help` lists the flags: --figure (repeatable) picks
+ * figures, --list names them, and the campaign engine's flags set
+ * workers and the result cache.
  *
  * The selected figures' jobs run as one deduplicated campaign, so a
  * job two figures share simulates once. Each figure then renders from
@@ -24,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "figures.hpp"
 #include "sweep/campaign.hpp"
@@ -53,34 +51,26 @@ main(int argc, char **argv)
     std::vector<bool> selected(registry.size(), false);
     bool any_selected = false;
     bool list = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--figure" || arg.rfind("--figure=", 0) == 0) {
-            std::string name;
-            if (arg != "--figure")
-                name = arg.substr(std::string("--figure=").size());
-            else if (i + 1 < argc)
-                name = argv[++i];
-            else
-                fatal("--figure expects a figure name");
-            const auto it = std::find_if(
-                registry.begin(), registry.end(),
-                [&](const Figure &f) { return f.name == name; });
-            if (it == registry.end())
-                fatal("unknown figure '%s' (try --list)", name.c_str());
-            selected[std::size_t(it - registry.begin())] = true;
-            any_selected = true;
-        } else if (bool takes_value;
-                   sweep::isCampaignFlag(arg, &takes_value)) {
-            // Parsed by parseCampaignArgs below.
-            if (takes_value)
-                ++i;
-        } else {
-            fatal("unknown argument '%s'", arg.c_str());
-        }
-    }
+    sweep::CampaignOptions opts;
+
+    FlagTable table;
+    table.section("figures");
+    table.value("--figure", "NAME",
+                "print this figure (repeatable; default: every one)",
+                [&](const std::string &name) {
+                    const auto it = std::find_if(
+                        registry.begin(), registry.end(),
+                        [&](const Figure &f) { return f.name == name; });
+                    if (it == registry.end())
+                        fatal("unknown figure '%s' (try --list)",
+                              name.c_str());
+                    selected[std::size_t(it - registry.begin())] = true;
+                    any_selected = true;
+                });
+    table.flag("--list", "print each figure's name and paper reference",
+               &list);
+    sweep::addCampaignFlags(table, &opts);
+    table.parse(argc, argv);
 
     if (list) {
         for (const Figure &f : registry)
@@ -88,7 +78,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const sweep::CampaignOptions opts = sweep::parseCampaignArgs(argc, argv);
     sweep::ResultCache cache(opts.cacheDir);
 
     std::vector<const Figure *> run;

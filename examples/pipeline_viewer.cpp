@@ -19,6 +19,7 @@
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "sys/system.hpp"
@@ -103,26 +104,19 @@ main(int argc, char **argv)
     std::uint64_t count = 40;
     unsigned width = 72;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--config")
-            config = next();
-        else if (arg == "--workload")
-            workload_name = next();
-        else if (arg == "--skip")
-            skip = std::stoull(next());
-        else if (arg == "--n")
-            count = std::stoull(next());
-        else if (arg == "--width")
-            width = static_cast<unsigned>(std::stoul(next()));
-        else
-            fatal("unknown option %s", arg.c_str());
-    }
+    FlagTable table;
+    table.value("--config", "NAME", "base|me|mecf|reno (default reno)",
+                &config);
+    table.value("--workload", "NAME",
+                "window of a real workload (default: the demo snippet)",
+                &workload_name);
+    table.number("--skip", "N", "retired instructions before the window",
+                 &skip);
+    table.number("--n", "N", "instructions in the window (default 40)",
+                 &count);
+    table.number("--width", "N", "diagram width in cycles (default 72)",
+                 &width);
+    table.parse(argc, argv);
 
     Workload demo{"demo", "example", demo_source};
     const Workload &w = workload_name.empty()

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/textfile.hpp"
 #include "emu/emulator.hpp"
@@ -26,18 +27,13 @@ main(int argc, char **argv)
     std::string path;
     std::string config = "reno";
     bool sim = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--sim") {
-            sim = true;
-        } else if (arg == "--config") {
-            if (i + 1 >= argc)
-                fatal("--config needs a value");
-            config = argv[++i];
-        } else {
-            path = arg;
-        }
-    }
+    FlagTable table;
+    table.positional("FILE", "the assembly program",
+                     [&path](const std::string &v) { path = v; });
+    table.flag("--sim", "also simulate it on the timing core", &sim);
+    table.value("--config", "NAME",
+                "base|me|mecf|reno for --sim (default reno)", &config);
+    table.parse(argc, argv);
     if (path.empty())
         fatal("usage: run_asm [--sim] [--config <name>] program.s");
 

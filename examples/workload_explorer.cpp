@@ -5,19 +5,13 @@
  * including functional-vs-timing state cross-checks and an optional
  * critical-path breakdown.
  *
- * Usage:
- *   workload_explorer [options] <workload|spec|media|all>
- * Options:
- *   --config base|me|mecf|reno|fullit|integ|loadsinteg   (default reno)
- *   --width 4|6              machine width        (default 4)
- *   --pregs N                physical registers   (default 160)
- *   --schedloop N            wakeup/select cycles (default 1)
- *   --critpath               print the critical-path breakdown
+ * Usage: workload_explorer [options] <workload|spec|media|all>
+ * (`workload_explorer --help` lists the options).
  */
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 
@@ -102,26 +96,22 @@ main(int argc, char **argv)
     unsigned schedloop = 1;
     bool critpath = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--config")
-            config = next();
-        else if (arg == "--width")
-            width = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--pregs")
-            pregs = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--schedloop")
-            schedloop = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--critpath")
-            critpath = true;
-        else
-            target = arg;
-    }
+    FlagTable table;
+    table.positional("TARGET",
+                     "a workload name, or spec, media or all (default)",
+                     [&target](const std::string &v) { target = v; });
+    table.value("--config", "NAME",
+                "base|me|mecf|reno|fullit|integ|loadsinteg (default "
+                "reno)",
+                &config);
+    table.number("--width", "4|6", "machine width (default 4)", &width);
+    table.number("--pregs", "N", "physical registers (default 160)",
+                 &pregs);
+    table.number("--schedloop", "N", "wakeup/select cycles (default 1)",
+                 &schedloop);
+    table.flag("--critpath", "print the critical-path breakdown",
+               &critpath);
+    table.parse(argc, argv);
 
     CoreParams params =
         width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();

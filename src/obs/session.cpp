@@ -12,85 +12,84 @@
 namespace reno::obs
 {
 
-ObsOptions
-parseObsArgs(int argc, char **argv)
+namespace
 {
-    ObsOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return "";
-        };
-        if (arg == "--trace-out" ||
-            arg.rfind("--trace-out=", 0) == 0) {
-            opts.traceOut = value("--trace-out");
-            if (opts.traceOut.empty())
-                fatal("--trace-out expects a file path");
-        } else if (arg == "--trace-sample" ||
-                   arg.rfind("--trace-sample=", 0) == 0) {
-            opts.traceSampleCycles =
-                parseUnsignedFlag("--trace-sample", value("--trace-sample"), 1);
-        } else if (arg == "--metrics-json" ||
-                   arg.rfind("--metrics-json=", 0) == 0) {
-            opts.metricsJson = value("--metrics-json");
-            if (opts.metricsJson.empty())
-                fatal("--metrics-json expects a file path");
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg.rfind("--progress=", 0) == 0) {
-            opts.progress = true;
-            opts.progressPath =
-                arg.substr(std::string("--progress=").size());
-            if (opts.progressPath.empty())
-                fatal("--progress= expects a file path");
-        } else if (arg == "--profile-hot") {
-            opts.profileHot = 20;
-        } else if (arg.rfind("--profile-hot=", 0) == 0) {
-            opts.profileHot = static_cast<unsigned>(parseUnsignedFlag(
-                "--profile-hot=",
-                arg.substr(std::string("--profile-hot=").size()), 1,
-                std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--pipetrace") {
-            opts.pipetrace = true;
-        } else if (arg.rfind("--pipetrace=", 0) == 0) {
-            opts.pipetrace = true;
-            opts.pipetracePath =
-                arg.substr(std::string("--pipetrace=").size());
-            if (opts.pipetracePath.empty())
-                fatal("--pipetrace= expects a file path");
-        }
-    }
-    if (opts.traceSampleCycles && opts.traceOut.empty())
-        fatal("--trace-sample requires --trace-out");
-    return opts;
+
+/** An optional "=FILE" sink flag: @p *sink is the path, "" = stderr. */
+void
+addSinkFlag(FlagTable &table, const char *name, const char *help,
+            std::optional<std::string> *sink)
+{
+    table.optionalValue(
+        name, "FILE", help,
+        [name, sink](const FlagTable::OptionalValue &v) {
+            if (v && v->empty())
+                fatal("%s= expects a file path", name);
+            *sink = v.value_or("");
+        });
 }
 
-bool
-isObsFlag(const std::string &arg, bool *takes_value)
+/** The file behind an optional "=FILE" sink flag, opened for writing;
+ *  nullptr when @p path is "" (the sink is stderr). */
+std::FILE *
+openSink(const char *flag, const std::string &path)
 {
-    *takes_value = false;
-    if (arg == "--trace-out" || arg == "--trace-sample" ||
-        arg == "--metrics-json") {
-        *takes_value = true;
-        return true;
-    }
-    return arg == "--progress" || arg == "--profile-hot" ||
-           arg == "--pipetrace" ||
-           arg.rfind("--trace-out=", 0) == 0 ||
-           arg.rfind("--trace-sample=", 0) == 0 ||
-           arg.rfind("--metrics-json=", 0) == 0 ||
-           arg.rfind("--progress=", 0) == 0 ||
-           arg.rfind("--profile-hot=", 0) == 0 ||
-           arg.rfind("--pipetrace=", 0) == 0;
+    if (path.empty())
+        return nullptr;
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    if (!file)
+        fatal("%s: cannot write '%s'", flag, path.c_str());
+    return file;
+}
+
+} // namespace
+
+void
+addObsFlags(FlagTable &table, ObsOptions *opts)
+{
+    table.section("observability (off by default; results are "
+                  "byte-identical either way)");
+    table.file("--trace-out",
+               "record a Chrome trace-event / Perfetto JSON of the run "
+               "(open at ui.perfetto.dev)",
+               &opts->traceOut);
+    table.number("--trace-sample", "N",
+                 "with --trace-out, also sample pipeline counters every "
+                 "N simulated cycles",
+                 &opts->traceSampleCycles, 1);
+    table.file("--metrics-json",
+               "write engine metrics (job latency, queue wait, pool "
+               "utilization, cache hit ratio, per-phase seconds and "
+               "Minstr/s, emulator block-cache counters)",
+               &opts->metricsJson);
+    addSinkFlag(table, "--progress",
+                "stream NDJSON progress heartbeats (default sink: "
+                "stderr)",
+                &opts->progress);
+}
+
+void
+addFullRunObsFlags(FlagTable &table, ObsOptions *opts)
+{
+    table.optionalValue(
+        "--profile-hot", "N", "per-PC hotspot profiling, top N (default 20)",
+        [opts](const FlagTable::OptionalValue &v) {
+            opts->profileHot =
+                v ? static_cast<unsigned>(parseUnsignedFlag(
+                        "--profile-hot=", *v, 1,
+                        std::numeric_limits<unsigned>::max()))
+                  : 20;
+        });
+    addSinkFlag(table, "--pipetrace",
+                "retired-instruction pipeline diagrams (default sink: "
+                "stderr)",
+                &opts->pipetrace);
 }
 
 Session::Session(const ObsOptions &opts) : opts_(opts)
 {
+    if (opts_.traceSampleCycles && opts_.traceOut.empty())
+        fatal("--trace-sample requires --trace-out");
     if (!opts_.traceOut.empty()) {
         Tracer::instance().setCycleSampleInterval(
             opts_.traceSampleCycles);
@@ -100,30 +99,16 @@ Session::Session(const ObsOptions &opts) : opts_(opts)
     if (!opts_.metricsJson.empty())
         PhaseStats::instance().enable();
     if (opts_.progress) {
-        std::FILE *sink = stderr;
-        if (!opts_.progressPath.empty()) {
-            progressFile_ =
-                std::fopen(opts_.progressPath.c_str(), "w");
-            if (!progressFile_)
-                fatal("--progress: cannot write '%s'",
-                      opts_.progressPath.c_str());
-            sink = progressFile_;
-        }
-        ProgressMeter::instance().enable(sink);
+        progressFile_ = openSink("--progress", *opts_.progress);
+        ProgressMeter::instance().enable(progressFile_ ? progressFile_
+                                                       : stderr);
     }
     if (opts_.profileHot > 0)
         HotspotProfile::setTopN(opts_.profileHot);
     if (opts_.pipetrace) {
-        std::FILE *sink = stderr;
-        if (!opts_.pipetracePath.empty()) {
-            pipetraceFile_ =
-                std::fopen(opts_.pipetracePath.c_str(), "w");
-            if (!pipetraceFile_)
-                fatal("--pipetrace: cannot write '%s'",
-                      opts_.pipetracePath.c_str());
-            sink = pipetraceFile_;
-        }
-        PipeTraceSink::instance().enable(sink);
+        pipetraceFile_ = openSink("--pipetrace", *opts_.pipetrace);
+        PipeTraceSink::instance().enable(pipetraceFile_ ? pipetraceFile_
+                                                        : stderr);
     }
 }
 

@@ -1,17 +1,10 @@
 /**
  * @file
- * CLI front door for the observability layer. A driver parses the
- * standard obs flags out of argv (parseObsArgs / isObsFlag, the
- * campaign-engine idiom) and constructs one obs::Session for the
- * lifetime of the run:
- *
- *   --trace-out FILE     record a Chrome trace-event / Perfetto JSON
- *   --trace-sample N     + sample pipeline counters every N cycles
- *   --metrics-json FILE  write the metrics registry as JSON at exit
- *   --progress[=FILE]    stream NDJSON heartbeats (default: stderr)
- *   --profile-hot[=N]    per-PC hotspot profiling, top N (default 20)
- *   --pipetrace[=FILE]   retired-instruction pipeline diagrams
- *                        (default: stderr)
+ * CLI front door for the observability layer. A driver registers the
+ * obs flags into its flag table (addObsFlags, plus addFullRunObsFlags
+ * when its jobs are full detailed runs) and constructs one
+ * obs::Session from the parsed ObsOptions for the lifetime of the
+ * run.
  *
  * Construction enables the requested facilities; destruction flushes
  * them (final progress heartbeat, phase gauges folded into the
@@ -22,34 +15,37 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
+
+#include "common/cli.hpp"
 
 namespace reno::obs
 {
 
-/** Parsed obs flags (see file doc for the flag set). */
+/** Parsed obs flags. */
 struct ObsOptions {
     std::string traceOut;     //!< --trace-out FILE ("" = off)
     std::uint64_t traceSampleCycles = 0;  //!< --trace-sample N
     std::string metricsJson;  //!< --metrics-json FILE ("" = off)
-    bool progress = false;    //!< --progress[=FILE]
-    std::string progressPath; //!< "" = stderr
+    /** --progress[=FILE]: nullopt = off, "" = stderr. */
+    std::optional<std::string> progress;
     unsigned profileHot = 0;  //!< --profile-hot[=N] top-N (0 = off)
-    bool pipetrace = false;   //!< --pipetrace[=FILE]
-    std::string pipetracePath;  //!< "" = stderr
+    /** --pipetrace[=FILE]: nullopt = off, "" = stderr. */
+    std::optional<std::string> pipetrace;
 };
 
-/** Parse the obs flags out of argv; unrecognized args are ignored. */
-ObsOptions parseObsArgs(int argc, char **argv);
+/** Register --trace-out, --trace-sample, --metrics-json and
+ *  --progress into @p table, filling @p *opts. */
+void addObsFlags(FlagTable &table, ObsOptions *opts);
 
-/**
- * True if @p arg is an obs flag, so drivers with strict argument
- * parsing can skip them. Sets @p *takes_value when the flag consumes
- * the following argv entry (detached form).
- */
-bool isObsFlag(const std::string &arg, bool *takes_value);
+/** Register --profile-hot and --pipetrace. Their hooks live in the
+ *  full-run path (harness runWorkload), so only a driver whose jobs
+ *  are full detailed runs takes them. */
+void addFullRunObsFlags(FlagTable &table, ObsOptions *opts);
 
-/** RAII activation of the facilities requested in ObsOptions. */
+/** RAII activation of the facilities requested in ObsOptions;
+ *  fatal() on --trace-sample without --trace-out. */
 class Session
 {
   public:

@@ -135,8 +135,7 @@ prepareWorkload(WorkloadPrep &prep,
                 const sweep::Job job = intervalJob(
                     w, configs[ci], windows[i].window,
                     static_cast<unsigned>(i));
-                sweep::JobResult scratch;
-                if (!cache.lookup(sweep::jobDigest(job), &scratch)) {
+                if (!cache.contains(sweep::jobDigest(job))) {
                     miss = true;
                     break;
                 }

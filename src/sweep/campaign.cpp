@@ -40,46 +40,24 @@ resolveJobCount(unsigned requested)
     return hw ? hw : 1;
 }
 
-CampaignOptions
-parseCampaignArgs(int argc, char **argv)
+void
+addCampaignFlags(FlagTable &table, CampaignOptions *opts)
 {
-    CampaignOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return "";
-        };
-        if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs = unsigned(
-                parseUnsignedFlag("--jobs", value("--jobs"), 1, MaxJobs));
-        } else if (arg == "--cache-dir" ||
-                   arg.rfind("--cache-dir=", 0) == 0) {
-            opts.cacheDir = value("--cache-dir");
-            if (opts.cacheDir.empty())
-                fatal("--cache-dir expects a directory path");
-        } else if (arg == "--sweep-stats") {
-            opts.stats = true;
-        }
-    }
-    return opts;
-}
-
-bool
-isCampaignFlag(const std::string &arg, bool *takes_value)
-{
-    *takes_value = false;
-    if (arg == "--jobs" || arg == "--cache-dir") {
-        *takes_value = true;
-        return true;
-    }
-    return arg == "--sweep-stats" ||
-           arg.rfind("--jobs=", 0) == 0 ||
-           arg.rfind("--cache-dir=", 0) == 0;
+    table.section("execution");
+    table.number("--jobs", "N",
+                 "worker threads (default: RENO_JOBS env, else all "
+                 "cores)",
+                 &opts->jobs, 1, MaxJobs);
+    table.value("--cache-dir", "DIR",
+                "persistent result cache (sampling checkpoints go under "
+                "DIR/ckpt); a warm rerun performs zero simulations",
+                [opts](const std::string &v) {
+                    if (v.empty())
+                        fatal("--cache-dir expects a directory path");
+                    opts->cacheDir = v;
+                });
+    table.flag("--sweep-stats", "execution summary on stderr",
+               &opts->stats);
 }
 
 std::size_t

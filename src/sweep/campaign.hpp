@@ -19,13 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "sweep/job.hpp"
 #include "sweep/result_cache.hpp"
 
 namespace reno::sweep
 {
 
-/** Engine knobs, typically parsed from argv / environment. */
+/** Engine knobs; addCampaignFlags() reads them from the command line. */
 struct CampaignOptions {
     /** Worker threads; 0 = RENO_JOBS env, else
      *  std::thread::hardware_concurrency(). 1 = run serially inline. */
@@ -41,19 +42,9 @@ struct CampaignOptions {
 /** Resolve a --jobs request against RENO_JOBS and the host. */
 unsigned resolveJobCount(unsigned requested);
 
-/**
- * Parse the engine's standard flags out of argv: --jobs N (or
- * --jobs=N), --cache-dir D (or --cache-dir=D), --sweep-stats.
- * Unrecognized arguments are ignored so callers can layer their own.
- */
-CampaignOptions parseCampaignArgs(int argc, char **argv);
-
-/**
- * True if @p arg is one of the engine's standard flags, so drivers
- * with strict argument parsing can skip them. Sets @p *takes_value
- * when the flag consumes the following argv entry (detached form).
- */
-bool isCampaignFlag(const std::string &arg, bool *takes_value);
+/** Register the engine's flags (--jobs, --cache-dir, --sweep-stats)
+ *  into @p table, filling @p *opts. */
+void addCampaignFlags(FlagTable &table, CampaignOptions *opts);
 
 /** Execution counters of one run() call. */
 struct CampaignStats {

@@ -48,6 +48,22 @@ ResultCache::lookup(std::uint64_t digest, JobResult *out)
     return false;
 }
 
+bool
+ResultCache::contains(std::uint64_t digest) const
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (mem_.count(digest))
+            return true;
+    }
+    JobResult scratch;
+    return files_.load(digest, Ext,
+                       [&scratch](const std::string &text,
+                                  std::string *why) {
+                           return decode(text, &scratch, why);
+                       });
+}
+
 void
 ResultCache::store(std::uint64_t digest, const JobResult &result)
 {

@@ -41,6 +41,10 @@ class ResultCache
      */
     bool lookup(std::uint64_t digest, JobResult *out);
 
+    /** True if lookup() would hit @p digest. Unlike lookup() it moves
+     *  no statistic and promotes no disk entry into memory. */
+    bool contains(std::uint64_t digest) const;
+
     /** Insert a result (memory, plus disk when persistent). */
     void store(std::uint64_t digest, const JobResult &result);
 

@@ -1,30 +1,16 @@
 /**
  * @file
  * The workload x configuration selection shared by the campaign
- * tools (reno-sweep, reno-sample). A tool parses it out of argv
- * with parseSelectionArgs() -- the parseCampaignArgs / parseObsArgs
- * idiom -- and skips its flags in its own strict loop with
- * isSelectionFlag():
- *
- *   --suite S            spec|media|synth|mem|branch|multi|all
- *   --workload NAME      one workload (repeatable)
- *   --workloads GLOB     glob over every suite (exclusive with
- *                        --workload)
- *   --filter SUBSTR      keep matching workload names
- *   --config NAME        preset with optional variants (repeatable;
- *                        default BASE, RENO)
- *   --width 4|6          machine width
- *   --cores N            N-core System for every config (a /Nc suffix)
- *   --report table|json|csv
- *   --list, --list-configs, --list-suites   print and exit 0
- *
- * Every flag takes both the `--flag value` and `--flag=value` forms.
+ * tools (reno-sweep, reno-sample). A tool registers the selection
+ * flags into its flag table with addSelectionFlags(), parses argv
+ * once, and resolves what was read with resolveSelection().
  */
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "harness/experiment.hpp"
 #include "sweep/reporter.hpp"
 #include "workloads/workloads.hpp"
@@ -39,23 +25,30 @@ struct Selection {
     ReportFormat format = ReportFormat::Table;
 };
 
-/**
- * Parse and resolve the selection flags of argv; other arguments are
- * ignored. fatal() on a bad value, an unknown workload/config/suite,
- * an empty workload set, --workloads with --workload, or --cores on a
- * config that is already multi-core. The --list flags print to stdout
- * and exit(0).
- */
-Selection parseSelectionArgs(int argc, char **argv);
+/** The selection flags as read, before resolution. */
+struct SelectionArgs {
+    std::string suite = "all";
+    std::vector<std::string> workloadNames;  //!< --workload, in order
+    std::string workloadsGlob;
+    std::string filter;
+    std::vector<std::string> configNames;   //!< --config, in order
+    unsigned width = 4;
+    unsigned cores = 1;
+    ReportFormat format = ReportFormat::Table;
+    std::string listing;  //!< the first --list* flag's output
+};
+
+/** Register the selection flags into @p table, filling @p *args. A
+ *  bad --width, --cores or --report value, or an empty --workloads
+ *  glob, is fatal() as it is read. */
+void addSelectionFlags(FlagTable &table, SelectionArgs *args);
 
 /**
- * True if @p arg is a selection flag, so tools with strict argument
- * parsing can skip it. Sets @p *takes_value when the flag consumes the
- * following argv entry (detached form).
+ * Resolve parsed selection flags. After a --list flag, print its
+ * listing to stdout and exit(0). fatal() on an unknown
+ * workload/config/suite, an empty workload set, --workloads with
+ * --workload, or --cores on a config that is already multi-core.
  */
-bool isSelectionFlag(const std::string &arg, bool *takes_value);
-
-/** The tools' --help block for the selection flags. */
-std::string selectionUsage();
+Selection resolveSelection(const SelectionArgs &args);
 
 } // namespace reno::sweep

@@ -25,6 +25,7 @@
 #include "obs/progress.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
+#include "parse_args.hpp"
 #include "sample/interval.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/result_cache.hpp"
@@ -515,19 +516,25 @@ TEST(Progress, FirstHeartbeatEmitsNullRateNotInfOrNan)
     EXPECT_NE(text2.find("\"eta_s\": null"), std::string::npos);
 }
 
-TEST(Session, ParseObsArgsIsStrict)
+TEST(Session, ObsFlagsAreStrict)
 {
     auto parse = [](std::vector<const char *> args) {
-        args.insert(args.begin(), "prog");
-        return parseObsArgs(int(args.size()),
-                            const_cast<char **>(args.data()));
+        ObsOptions opts;
+        FlagTable table;
+        addObsFlags(table, &opts);
+        addFullRunObsFlags(table, &opts);
+        parseArgs(table, std::move(args));
+        return opts;
     };
     const ObsOptions opts =
         parse({"--trace-out", "t.json", "--trace-sample", "5000",
-               "--profile-hot=3", "--jobs", "2"});
+               "--profile-hot=3", "--progress", "--pipetrace=p.txt"});
     EXPECT_EQ(opts.traceOut, "t.json");
     EXPECT_EQ(opts.traceSampleCycles, 5000u);
     EXPECT_EQ(opts.profileHot, 3u);
+    EXPECT_EQ(opts.progress, std::optional<std::string>(""));
+    EXPECT_EQ(opts.pipetrace, std::optional<std::string>("p.txt"));
+    EXPECT_EQ(parse({}).progress, std::nullopt);
     EXPECT_EQ(parse({"--profile-hot"}).profileHot, 20u);
 
     for (const char *bad : {"100x", "0", "-5", ""}) {
@@ -543,8 +550,31 @@ TEST(Session, ParseObsArgsIsStrict)
                     "--profile-hot= expects")
             << bad;
     }
-    EXPECT_EXIT(parse({"--trace-sample", "10"}),
+    EXPECT_EXIT(parse({"--progress="}), ::testing::ExitedWithCode(1),
+                "--progress= expects a file path");
+    EXPECT_EXIT(parse({"--metrics-json="}), ::testing::ExitedWithCode(1),
+                "--metrics-json expects a file path");
+    EXPECT_EXIT(parse({"--jobs", "2"}), ::testing::ExitedWithCode(1),
+                "unknown argument '--jobs'");
+    EXPECT_EXIT({ const Session session(parse({"--trace-sample", "10"})); },
                 ::testing::ExitedWithCode(1), "requires --trace-out");
+}
+
+TEST(Session, SampledDriversTakeNoFullRunHooks)
+{
+    // --profile-hot and --pipetrace act only inside full detailed runs,
+    // so a table without addFullRunObsFlags rejects them.
+    for (const char *flag : {"--profile-hot", "--pipetrace=p.txt"}) {
+        EXPECT_EXIT(
+            {
+                ObsOptions opts;
+                FlagTable table;
+                addObsFlags(table, &opts);
+                parseArgs(table, {flag});
+            },
+            ::testing::ExitedWithCode(1), "unknown argument")
+            << flag;
+    }
 }
 
 TEST(Log, ThresholdFiltersAndSinkRedirects)

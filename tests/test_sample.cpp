@@ -32,6 +32,7 @@
 #include "common/log.hpp"
 #include "asm/assembler.hpp"
 #include "harness/experiment.hpp"
+#include "obs/metrics.hpp"
 #include "sample/checkpoint.hpp"
 #include "sample/interval.hpp"
 #include "sample/sampler.hpp"
@@ -480,6 +481,46 @@ TEST(SampledCampaign, WarmCacheRerunSimulatesNothing)
     EXPECT_EQ(warm.stats.cacheHits, warm.stats.unique);
     EXPECT_EQ(renderSampled(cold, sweep::ReportFormat::Csv),
               renderSampled(warm, sweep::ReportFormat::Csv));
+}
+
+TEST(SampledCampaign, CacheCountsEachIntervalJobOnce)
+{
+    // The prep pass probes the result cache for every interval job
+    // before the campaign looks the job up; only the lookup counts.
+    // Each run gets a fresh cache over one directory, so the warm
+    // run's hits all come from disk.
+    const std::string dir =
+        ::testing::TempDir() + "reno_sample_cache_count_test";
+    std::filesystem::remove_all(dir);
+    const auto workloads = oneWorkload("g721.dec");
+    const std::vector<NamedConfig> configs = {{"BASE", baseParams()}};
+    const auto gauge = [](const char *name) {
+        return obs::MetricsRegistry::instance().gauge(name).value();
+    };
+    for (const bool warm : {false, true}) {
+        sweep::ResultCache cache(dir);
+        SampleOptions options;
+        options.campaign.jobs = 1;
+        options.campaign.cache = &cache;
+        const SampledCampaign run =
+            runSampledCampaign(workloads, configs, options);
+        const std::uint64_t jobs = run.stats.jobs;
+        ASSERT_GT(jobs, 0u);
+        EXPECT_EQ(cache.memoryHits(), 0u) << warm;
+        EXPECT_EQ(cache.diskHits(), warm ? jobs : 0) << warm;
+        EXPECT_EQ(cache.misses(), warm ? 0 : jobs) << warm;
+        EXPECT_EQ(cache.stores(), warm ? 0 : jobs) << warm;
+        EXPECT_EQ(gauge("sweep.cache.memory_hits"), 0.0) << warm;
+        EXPECT_EQ(gauge("sweep.cache.disk_hits"),
+                  double(cache.diskHits())) << warm;
+        EXPECT_EQ(gauge("sweep.cache.misses"), double(cache.misses()))
+            << warm;
+        EXPECT_EQ(gauge("sweep.cache.stores"), double(cache.stores()))
+            << warm;
+        EXPECT_EQ(gauge("sweep.cache.hit_ratio"), warm ? 1.0 : 0.0)
+            << warm;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SampledCampaign, EstimateWithinBoundOfFullSimulation)

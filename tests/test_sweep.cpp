@@ -4,7 +4,7 @@
  * identical to serial, content digests track every CoreParams field,
  * the result cache (memory and disk) short-circuits simulation, the
  * JSON/CSV reporters produce their golden output, and the tools'
- * flag parsers (engine flags and the workload/config selection)
+ * flag families (engine flags and the workload/config selection)
  * resolve and reject what they should.
  */
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "common/report.hpp"
 #include "common/serialize.hpp"
 #include "harness/experiment.hpp"
+#include "parse_args.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/reporter.hpp"
 #include "sweep/result_cache.hpp"
@@ -71,25 +72,27 @@ digestOfParams(const CoreParams &p)
     return jobDigest(job);
 }
 
-/** Run @p parse over {"prog", args...}. */
-template <typename Parse>
-auto
-parseArgv(Parse parse, std::vector<const char *> args)
-{
-    args.insert(args.begin(), "prog");
-    return parse(int(args.size()), const_cast<char **>(args.data()));
-}
-
+/** @p args through a table that holds the engine flags only. */
 CampaignOptions
 parseCampaign(std::vector<const char *> args)
 {
-    return parseArgv(parseCampaignArgs, std::move(args));
+    CampaignOptions opts;
+    FlagTable table;
+    addCampaignFlags(table, &opts);
+    parseArgs(table, std::move(args));
+    return opts;
 }
 
+/** @p args through a table that holds the selection flags only,
+ *  resolved. */
 Selection
 selectArgs(std::vector<const char *> args)
 {
-    return parseArgv(parseSelectionArgs, std::move(args));
+    SelectionArgs sel;
+    FlagTable table;
+    addSelectionFlags(table, &sel);
+    parseArgs(table, std::move(args));
+    return resolveSelection(sel);
 }
 
 std::string
@@ -471,10 +474,8 @@ TEST(Sweep, ResolveJobCountIgnoresMalformedEnv)
 
 TEST(Sweep, ParseCampaignArgs)
 {
-    const char *argv[] = {"prog", "--jobs", "8", "--cache-dir=/tmp/x",
-                          "--sweep-stats", "--unrelated"};
-    const CampaignOptions opts =
-        parseCampaignArgs(6, const_cast<char **>(argv));
+    const CampaignOptions opts = parseCampaign(
+        {"--jobs", "8", "--cache-dir=/tmp/x", "--sweep-stats"});
     EXPECT_EQ(opts.jobs, 8u);
     EXPECT_EQ(opts.cacheDir, "/tmp/x");
     EXPECT_TRUE(opts.stats);
@@ -489,11 +490,14 @@ TEST(Sweep, ParseCampaignArgs)
                 "--jobs expects");
     EXPECT_EXIT(parseCampaign({"--cache-dir="}),
                 ::testing::ExitedWithCode(1), "--cache-dir expects");
+    EXPECT_EXIT(parseCampaign({"--unrelated"}),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--unrelated'");
 }
 
 TEST(Selection, DefaultIsThePaperSuitesUnderBaseAndReno)
 {
-    const Selection sel = selectArgs({"--jobs", "2", "--unrelated"});
+    const Selection sel = selectArgs({});
     ASSERT_EQ(sel.workloads.size(), allWorkloads().size());
     for (std::size_t i = 0; i < sel.workloads.size(); ++i)
         EXPECT_EQ(sel.workloads[i], &allWorkloads()[i]);
@@ -603,18 +607,21 @@ TEST(Selection, ListNamesEveryWorkloadOfEverySuite)
     EXPECT_EXIT(selectArgs({"--list"}), ::testing::ExitedWithCode(0), "");
 }
 
-TEST(Selection, IsSelectionFlagMatchesTheParser)
+TEST(Selection, TableAcceptsExactlyTheSelectionFlags)
 {
-    bool takes_value = false;
-    EXPECT_TRUE(isSelectionFlag("--suite", &takes_value));
-    EXPECT_TRUE(takes_value);
-    EXPECT_TRUE(isSelectionFlag("--workloads=mem.*", &takes_value));
-    EXPECT_FALSE(takes_value);
-    EXPECT_TRUE(isSelectionFlag("--list-suites", &takes_value));
-    EXPECT_FALSE(takes_value);
-    EXPECT_FALSE(isSelectionFlag("--list=x", &takes_value));
-    EXPECT_FALSE(isSelectionFlag("--jobs", &takes_value));
-    EXPECT_FALSE(isSelectionFlag("--suites", &takes_value));
+    // A value flag takes its detached value, whatever it looks like:
+    // here --list is the filter, not a listing.
+    EXPECT_EXIT(selectArgs({"--filter", "--list"}),
+                ::testing::ExitedWithCode(1), "no workloads selected");
+    EXPECT_EXIT(selectArgs({"--list-suites"}),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(selectArgs({"--workloads="}), ::testing::ExitedWithCode(1),
+                "--workloads expects a glob pattern");
+    for (const char *bad : {"--list=x", "--suites", "--jobs"}) {
+        EXPECT_EXIT(selectArgs({bad}), ::testing::ExitedWithCode(1),
+                    std::string("unknown argument '") + bad + "'")
+            << bad;
+    }
 }
 
 TEST(Sweep, Fnv64KnownVectorsAndSeparation)

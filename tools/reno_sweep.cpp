@@ -7,10 +7,10 @@
  * table/JSON/CSV reporters.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/textfile.hpp"
 #include "obs/cpireport.hpp"
@@ -21,56 +21,6 @@
 
 using namespace reno;
 
-namespace
-{
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::printf("usage: %s [options]\n\n%s\n", argv0,
-                sweep::selectionUsage().c_str());
-    std::printf(
-        "analysis:\n"
-        "  --cpa                    critical-path analysis per job\n"
-        "                           (single-core only)\n"
-        "\n"
-        "execution:\n"
-        "  --jobs N                 worker threads (default: RENO_JOBS"
-        " env, else all cores)\n"
-        "  --cache-dir DIR          persistent result cache; a warm\n"
-        "                           rerun performs zero simulations\n"
-        "  --sweep-stats            execution summary on stderr\n"
-        "\n"
-        "output:\n"
-        "  --all-stats              report every named SimResult"
-        " counter\n"
-        "  --cpi-json FILE          write per-job CPI stacks + the\n"
-        "                           campaign aggregate\n"
-        "  --cpi-html FILE          write a self-contained HTML report\n"
-        "                           (stacked bars per job, hotspot\n"
-        "                           tables)\n"
-        "\n"
-        "observability (off by default; results are byte-identical\n"
-        "either way):\n"
-        "  --trace-out FILE         record a Chrome trace-event /\n"
-        "                           Perfetto JSON of the run (open at\n"
-        "                           ui.perfetto.dev)\n"
-        "  --trace-sample N         + sample pipeline counters every N\n"
-        "                           simulated cycles\n"
-        "  --metrics-json FILE      write engine metrics (job latency,\n"
-        "                           queue wait, pool utilization,\n"
-        "                           cache hit ratio, phase rates)\n"
-        "  --progress[=FILE]        stream NDJSON progress heartbeats\n"
-        "                           (default sink: stderr)\n"
-        "  --profile-hot[=N]        per-PC hotspot profiling, top N\n"
-        "                           (default 20)\n"
-        "  --pipetrace[=FILE]       retired-instruction pipeline\n"
-        "                           diagrams (default sink: stderr)\n");
-    std::exit(0);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -78,52 +28,31 @@ main(int argc, char **argv)
     bool all_stats = false;
     std::string cpi_json;
     std::string cpi_html;
+    sweep::SelectionArgs selection;
+    sweep::CampaignOptions opts;
+    obs::ObsOptions obs_opts;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (i + 1 >= argc)
-                fatal("%s expects a value", flag);
-            return argv[++i];
-        };
-        auto matches = [&](const char *flag) {
-            return arg == flag ||
-                   arg.rfind(std::string(flag) + "=", 0) == 0;
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-        } else if (arg == "--all-stats") {
-            all_stats = true;
-        } else if (matches("--cpi-json")) {
-            cpi_json = value("--cpi-json");
-            if (cpi_json.empty())
-                fatal("--cpi-json expects a file path");
-        } else if (matches("--cpi-html")) {
-            cpi_html = value("--cpi-html");
-            if (cpi_html.empty())
-                fatal("--cpi-html expects a file path");
-        } else if (arg == "--cpa") {
-            want_cpa = true;
-        } else if (bool takes_value;
-                   sweep::isSelectionFlag(arg, &takes_value) ||
-                   sweep::isCampaignFlag(arg, &takes_value) ||
-                   obs::isObsFlag(arg, &takes_value)) {
-            // Shared flags; parsed by parseSelectionArgs,
-            // parseCampaignArgs and parseObsArgs below.
-            if (takes_value)
-                ++i;
-        } else {
-            fatal("unknown argument '%s' (try --help)", arg.c_str());
-        }
-    }
+    FlagTable table;
+    sweep::addSelectionFlags(table, &selection);
+    table.section("analysis");
+    table.flag("--cpa", "critical-path analysis per job (single-core only)",
+               &want_cpa);
+    sweep::addCampaignFlags(table, &opts);
+    table.section("output");
+    table.flag("--all-stats", "report every named SimResult counter",
+               &all_stats);
+    table.file("--cpi-json",
+               "write per-job CPI stacks + the campaign aggregate",
+               &cpi_json);
+    table.file("--cpi-html",
+               "write a self-contained HTML report (stacked bars per "
+               "job, hotspot tables)",
+               &cpi_html);
+    obs::addObsFlags(table, &obs_opts);
+    obs::addFullRunObsFlags(table, &obs_opts);
+    table.parse(argc, argv);
 
-    const sweep::Selection sel = sweep::parseSelectionArgs(argc, argv);
-    const sweep::CampaignOptions opts =
-        sweep::parseCampaignArgs(argc, argv);
-    const obs::ObsOptions obs_opts = obs::parseObsArgs(argc, argv);
+    const sweep::Selection sel = sweep::resolveSelection(selection);
     const obs::Session obs_session(obs_opts);
 
     sweep::Campaign campaign;
