@@ -33,7 +33,7 @@ suites()
 CoreParams
 machine(unsigned width)
 {
-    return width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
+    return *CoreParams::ofWidth(width);
 }
 
 /** The job tag of a per-width figure: "4w" / "6w". */

@@ -11,7 +11,7 @@
  *
  * Usage:
  *   pipeline_viewer                        # demo snippet, full RENO
- *   pipeline_viewer --config base          # demo without RENO
+ *   pipeline_viewer --config BASE          # demo without RENO
  *   pipeline_viewer --workload gzip        # window of a real workload
  *   pipeline_viewer --skip 2000 --n 48     # choose the window
  */
@@ -20,7 +20,6 @@
 
 #include "asm/assembler.hpp"
 #include "common/cli.hpp"
-#include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "sys/system.hpp"
 #include "trace/pipetrace.hpp"
@@ -79,33 +78,21 @@ loop:
         syscall
 )";
 
-RenoConfig
-configByName(const std::string &name)
-{
-    if (name == "base")
-        return RenoConfig::baseline();
-    if (name == "me")
-        return RenoConfig::meOnly();
-    if (name == "mecf")
-        return RenoConfig::meCf();
-    if (name == "reno")
-        return RenoConfig::full();
-    fatal("unknown config '%s' (base|me|mecf|reno)", name.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string config = "reno";
+    std::string config = "RENO";
     std::string workload_name;
     std::uint64_t skip = 0;
     std::uint64_t count = 40;
     unsigned width = 72;
 
     FlagTable table;
-    table.value("--config", "NAME", "base|me|mecf|reno (default reno)",
+    table.value("--config", "NAME",
+                "preset with optional /variants, e.g. BASE, ME+CF, "
+                "RENO/l3 (default RENO)",
                 &config);
     table.value("--workload", "NAME",
                 "window of a real workload (default: the demo snippet)",
@@ -122,8 +109,8 @@ main(int argc, char **argv)
     const Workload &w = workload_name.empty()
         ? demo : workloadByName(workload_name);
 
-    CoreParams params;
-    params.reno = configByName(config);
+    const CoreParams params =
+        configByNameOrDie(config, CoreParams::fourWide()).params;
     if (workload_name.empty() && skip == 0)
         skip = 220;  // land the demo window inside the main loop
 

@@ -7,7 +7,7 @@
  * Usage:
  *   run_asm program.s                 # functional run only
  *   run_asm --sim program.s           # + timing simulation (full RENO)
- *   run_asm --sim --config base x.s   # + chosen configuration
+ *   run_asm --sim --config BASE x.s   # + chosen configuration
  */
 #include <cstdio>
 #include <string>
@@ -17,6 +17,7 @@
 #include "common/log.hpp"
 #include "common/textfile.hpp"
 #include "emu/emulator.hpp"
+#include "harness/experiment.hpp"
 #include "sys/system.hpp"
 
 using namespace reno;
@@ -25,14 +26,16 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    std::string config = "reno";
+    std::string config = "RENO";
     bool sim = false;
     FlagTable table;
     table.positional("FILE", "the assembly program",
                      [&path](const std::string &v) { path = v; });
     table.flag("--sim", "also simulate it on the timing core", &sim);
     table.value("--config", "NAME",
-                "base|me|mecf|reno for --sim (default reno)", &config);
+                "configuration for --sim, e.g. BASE, ME+CF, RENO/l3 "
+                "(default RENO)",
+                &config);
     table.parse(argc, argv);
     if (path.empty())
         fatal("usage: run_asm [--sim] [--config <name>] program.s");
@@ -60,19 +63,8 @@ main(int argc, char **argv)
         return static_cast<int>(emu.exitCode());
     }
 
-    CoreParams params;
-    if (config == "base")
-        params.reno = RenoConfig::baseline();
-    else if (config == "me")
-        params.reno = RenoConfig::meOnly();
-    else if (config == "mecf")
-        params.reno = RenoConfig::meCf();
-    else if (config == "reno")
-        params.reno = RenoConfig::full();
-    else
-        fatal("unknown config '%s'", config.c_str());
-
-    System sys(params, {&emu});
+    System sys(configByNameOrDie(config, CoreParams::fourWide()).params,
+               {&emu});
     const SimResult r = sys.run();
     std::printf("output: %s\n", emu.output().c_str());
     std::printf("cycles=%llu IPC=%.3f eliminated=%.1f%% "

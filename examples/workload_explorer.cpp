@@ -12,33 +12,12 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "common/log.hpp"
 #include "harness/experiment.hpp"
 
 using namespace reno;
 
 namespace
 {
-
-RenoConfig
-configByName(const std::string &name)
-{
-    if (name == "base")
-        return RenoConfig::baseline();
-    if (name == "me")
-        return RenoConfig::meOnly();
-    if (name == "mecf")
-        return RenoConfig::meCf();
-    if (name == "reno")
-        return RenoConfig::full();
-    if (name == "fullit")
-        return RenoConfig::fullIt();
-    if (name == "integ")
-        return RenoConfig::integrationOnly();
-    if (name == "loadsinteg")
-        return RenoConfig::loadsIntegrationOnly();
-    fatal("unknown config '%s'", name.c_str());
-}
 
 void
 runOne(const Workload &w, const CoreParams &params, bool critpath)
@@ -90,7 +69,7 @@ int
 main(int argc, char **argv)
 {
     std::string target = "all";
-    std::string config = "reno";
+    std::string config = "RENO";
     unsigned width = 4;
     unsigned pregs = 160;
     unsigned schedloop = 1;
@@ -101,10 +80,10 @@ main(int argc, char **argv)
                      "a workload name, or spec, media or all (default)",
                      [&target](const std::string &v) { target = v; });
     table.value("--config", "NAME",
-                "base|me|mecf|reno|fullit|integ|loadsinteg (default "
-                "reno)",
+                "preset with optional /variants, e.g. BASE, ME+CF, "
+                "LoadsInteg, RENO/l3 (default RENO)",
                 &config);
-    table.number("--width", "4|6", "machine width (default 4)", &width);
+    addWidthFlag(table, &width);
     table.number("--pregs", "N", "physical registers (default 160)",
                  &pregs);
     table.number("--schedloop", "N", "wakeup/select cycles (default 1)",
@@ -114,10 +93,9 @@ main(int argc, char **argv)
     table.parse(argc, argv);
 
     CoreParams params =
-        width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
+        configByNameOrDie(config, *CoreParams::ofWidth(width)).params;
     params.numPregs = pregs;
     params.schedLoop = schedloop;
-    params.reno = configByName(config);
 
     if (target == "all" || target == "spec" || target == "media") {
         for (const Workload &w : allWorkloads()) {

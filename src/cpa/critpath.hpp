@@ -46,13 +46,15 @@ const char *cpBucketName(CpBucket bucket);
 class CriticalPathAnalyzer : public RetireListener
 {
   public:
+    /** Instructions per analysis chunk: the paper's 1M. */
+    static constexpr size_t DefaultChunk = 1'000'000;
+
     /**
-     * @param chunk_size  instructions per analysis chunk (the paper
-     *                    uses 1M)
+     * @param chunk_size  instructions per analysis chunk
      * @param window      reorder-buffer size (ROB window edges)
      * @param iq_window   issue-queue size (IQ window edges)
      */
-    explicit CriticalPathAnalyzer(size_t chunk_size = 1'000'000,
+    explicit CriticalPathAnalyzer(size_t chunk_size = DefaultChunk,
                                   unsigned window = 128,
                                   unsigned iq_window = 50);
 

@@ -1,14 +1,16 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
 
-#include <algorithm>
-
 #include "asm/assembler.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "emu/emulator.hpp"
 #include "obs/phase.hpp"
 #include "sys/system.hpp"
@@ -120,200 +122,224 @@ divisionOfLabor(const CoreParams &base)
     };
 }
 
-std::vector<std::string>
-memVariantNames()
-{
-    return {"l3", "pf-next", "pf-stride", "wb"};
-}
-
-bool
-applyMemVariant(const std::string &token, CoreParams *params)
-{
-    if (token == "l3") {
-        CacheParams l3;
-        l3.name = "l3";
-        l3.sizeBytes = 2 * 1024 * 1024;
-        l3.assoc = 8;
-        l3.blockBytes = 64;
-        l3.latency = 25;
-        l3.numMshrs = 32;
-        params->mem.extraLevels = {l3};
-        return true;
-    }
-    if (token == "pf-next" || token == "pf-stride") {
-        const PrefetchKind kind = token == "pf-next"
-                                      ? PrefetchKind::NextLine
-                                      : PrefetchKind::Stride;
-        params->mem.dcache.prefetch.kind = kind;
-        params->mem.dcache.prefetch.degree = 2;
-        params->mem.l2.prefetch.kind = kind;
-        params->mem.l2.prefetch.degree = 4;
-        return true;
-    }
-    if (token == "wb") {
-        params->mem.modelWritebacks = true;
-        return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-bpredVariantNames()
-{
-    return {"bimodal", "gshare",  "tournament", "tage",
-            "perceptron", "ras<N>", "btb<N>",   "itt"};
-}
-
 namespace
 {
 
-/** Parse the numeric tail of "ras16"/"btb512"-style tokens. */
+/** The D$ and L2 prefetchers of the pf-next / pf-stride variants. */
 bool
-numericSuffix(const std::string &token, const char *prefix,
-              unsigned *value)
+prefetchers(CoreParams &p, PrefetchKind kind)
 {
-    const std::size_t len = std::string_view(prefix).size();
-    if (token.rfind(prefix, 0) != 0 || token.size() == len)
+    p.mem.dcache.prefetch.kind = kind;
+    p.mem.dcache.prefetch.degree = 2;
+    p.mem.l2.prefetch.kind = kind;
+    p.mem.l2.prefetch.degree = 4;
+    return true;
+}
+
+template <DirPredKind Kind>
+bool
+direction(CoreParams &p, unsigned)
+{
+    p.bpred.dir.kind = Kind;
+    return true;
+}
+
+/** The variant table: each token declared once, with its listing
+ *  group and what it changes. */
+constexpr ConfigVariant Variants[] = {
+    // A 2 MB 8-way 64 B 25-cycle shared L3.
+    {VariantGroup::Memory, "l3",
+     [](CoreParams &p, unsigned) {
+         CacheParams l3;
+         l3.name = "l3";
+         l3.sizeBytes = 2 * 1024 * 1024;
+         l3.assoc = 8;
+         l3.blockBytes = 64;
+         l3.latency = 25;
+         l3.numMshrs = 32;
+         p.mem.extraLevels = {l3};
+         return true;
+     }},
+    {VariantGroup::Memory, "pf-next",
+     [](CoreParams &p, unsigned) {
+         return prefetchers(p, PrefetchKind::NextLine);
+     }},
+    {VariantGroup::Memory, "pf-stride",
+     [](CoreParams &p, unsigned) {
+         return prefetchers(p, PrefetchKind::Stride);
+     }},
+    // Model dirty-victim write-back bus traffic.
+    {VariantGroup::Memory, "wb",
+     [](CoreParams &p, unsigned) {
+         p.mem.modelWritebacks = true;
+         return true;
+     }},
+    // The direction engine (tournament is the paper default).
+    {VariantGroup::BranchPrediction, "bimodal",
+     direction<DirPredKind::Bimodal>},
+    {VariantGroup::BranchPrediction, "gshare",
+     direction<DirPredKind::GShare>},
+    {VariantGroup::BranchPrediction, "tournament",
+     direction<DirPredKind::Tournament>},
+    {VariantGroup::BranchPrediction, "tage", direction<DirPredKind::Tage>},
+    {VariantGroup::BranchPrediction, "perceptron",
+     direction<DirPredKind::Perceptron>},
+    // An N-entry return-address stack.
+    {VariantGroup::BranchPrediction, "ras<N>",
+     [](CoreParams &p, unsigned n) {
+         if (n == 0)
+             return false;
+         p.bpred.ras.entries = n;
+         return true;
+     }},
+    // An N-entry BTB, N a power of two; associativity capped at N.
+    {VariantGroup::BranchPrediction, "btb<N>",
+     [](CoreParams &p, unsigned n) {
+         if (n == 0 || (n & (n - 1)) != 0)
+             return false;
+         p.bpred.btb.entries = n;
+         if (p.bpred.btb.assoc > n)
+             p.bpred.btb.assoc = n;
+         return true;
+     }},
+    // The 512-entry indirect-target table.
+    {VariantGroup::BranchPrediction, "itt",
+     [](CoreParams &p, unsigned) {
+         p.bpred.indirect.enabled = true;
+         return true;
+     }},
+    // N cores (private L1s + bpred each) over the shared hierarchy
+    // under snooping MESI coherence.
+    {VariantGroup::MultiCore, "<N>c",
+     [](CoreParams &p, unsigned n) {
+         if (n == 0 || n > SysParams::MaxCores)
+             return false;
+         p.sys.numCores = n;
+         return true;
+     }},
+};
+
+/** Does @p token spell @p spelling, "<N>" standing for a decimal
+ *  number (stored into @p *n; untouched for a fixed spelling)? */
+bool
+spells(std::string_view spelling, std::string_view token, unsigned *n)
+{
+    const std::size_t hole = spelling.find("<N>");
+    if (hole == std::string_view::npos)
+        return token == spelling;
+    const std::string_view prefix = spelling.substr(0, hole);
+    const std::string_view suffix = spelling.substr(hole + 3);
+    if (token.size() <= prefix.size() + suffix.size() ||
+        !token.starts_with(prefix) || !token.ends_with(suffix))
         return false;
-    unsigned v = 0;
-    for (std::size_t i = len; i < token.size(); ++i) {
-        if (token[i] < '0' || token[i] > '9')
-            return false;
-        const unsigned digit = static_cast<unsigned>(token[i] - '0');
-        if (v > (~0u - digit) / 10)
-            return false;  // would overflow: reject, don't wrap
-        v = v * 10 + digit;
-    }
-    *value = v;
+    const std::optional<std::uint64_t> v = parseUnsigned(
+        token.substr(prefix.size(),
+                     token.size() - prefix.size() - suffix.size()),
+        0, std::numeric_limits<unsigned>::max());
+    if (!v)
+        return false;
+    *n = static_cast<unsigned>(*v);
     return true;
 }
 
 } // namespace
 
-bool
-applyBpredVariant(const std::string &token, CoreParams *params)
+std::span<const ConfigVariant>
+configVariants()
 {
-    if (token == "bimodal") {
-        params->bpred.dir.kind = DirPredKind::Bimodal;
-        return true;
-    }
-    if (token == "gshare") {
-        params->bpred.dir.kind = DirPredKind::GShare;
-        return true;
-    }
-    if (token == "tournament") {
-        params->bpred.dir.kind = DirPredKind::Tournament;
-        return true;
-    }
-    if (token == "tage") {
-        params->bpred.dir.kind = DirPredKind::Tage;
-        return true;
-    }
-    if (token == "perceptron") {
-        params->bpred.dir.kind = DirPredKind::Perceptron;
-        return true;
-    }
-    // Reject geometry the predictor constructors would fatal() on,
-    // so a bad token reads as "unknown variant" up front instead of
-    // aborting mid-campaign.
-    if (unsigned n = 0; numericSuffix(token, "ras", &n)) {
-        if (n == 0)
-            return false;
-        params->bpred.ras.entries = n;
-        return true;
-    }
-    if (unsigned n = 0; numericSuffix(token, "btb", &n)) {
-        if (n == 0 || (n & (n - 1)) != 0)
-            return false;
-        params->bpred.btb.entries = n;
-        if (params->bpred.btb.assoc > n)
-            params->bpred.btb.assoc = n;
-        return true;
-    }
-    if (token == "itt") {
-        params->bpred.indirect.enabled = true;
-        return true;
+    return Variants;
+}
+
+bool
+applyVariant(const std::string &token, CoreParams *params)
+{
+    for (const ConfigVariant &v : Variants) {
+        unsigned n = 0;
+        if (spells(v.spelling, token, &n))
+            return v.apply(*params, n);
     }
     return false;
 }
 
-std::vector<std::string>
-sysVariantNames()
+void
+addWidthFlag(FlagTable &table, unsigned *width)
 {
-    return {"<N>c"};
+    table.value("--width", "4|6", "machine width (default 4)",
+                [width](const std::string &v) {
+                    const std::optional<std::uint64_t> w =
+                        parseUnsigned(v, 0, ~0u);
+                    if (!w || !CoreParams::ofWidth(unsigned(*w)))
+                        fatal("--width expects 4 or 6, got '%s'",
+                              v.c_str());
+                    *width = unsigned(*w);
+                });
 }
 
-bool
-applySysVariant(const std::string &token, CoreParams *params)
+namespace
 {
-    // "<N>c": N cores sharing the lower hierarchy. Mirror the bpred
-    // idiom: geometry the System constructor would fatal() on ("0c",
-    // more than MaxCores) reads as "unknown variant" up front.
-    if (token.size() < 2 || token.back() != 'c')
-        return false;
-    unsigned n = 0;
-    if (!numericSuffix(token.substr(0, token.size() - 1), "", &n))
-        return false;
-    if (n == 0 || n > SysParams::MaxCores)
-        return false;
-    params->sys.numCores = n;
-    return true;
+
+/** Every preset, in listing order: the build-up, then the
+ *  division-of-labor configurations other than RENO. */
+std::vector<NamedConfig>
+presets(const CoreParams &base)
+{
+    std::vector<NamedConfig> all = renoBuildup(base);
+    for (NamedConfig &cfg : divisionOfLabor(base)) {
+        if (cfg.name != "RENO")
+            all.push_back(std::move(cfg));
+    }
+    return all;
 }
+
+} // namespace
 
 bool
 configByName(const std::string &name, const CoreParams &base,
              NamedConfig *out)
 {
-    // Split off '/'-separated memory-system variant suffixes; the
-    // leading token is a RENO preset.
-    const std::size_t slash = name.find('/');
-    const std::string preset = name.substr(0, slash);
-
-    NamedConfig found;
-    bool ok = false;
-    for (const NamedConfig &cfg : renoBuildup(base)) {
-        if (cfg.name == preset) {
-            found = cfg;
-            ok = true;
-        }
-    }
-    for (const NamedConfig &cfg : divisionOfLabor(base)) {
-        if (cfg.name == preset) {
-            found = cfg;
-            ok = true;
-        }
-    }
-    if (!ok)
+    // The leading token is a preset; '/'-separated variant tokens
+    // follow.
+    std::size_t slash = name.find('/');
+    const std::string preset_name = name.substr(0, slash);
+    const std::vector<NamedConfig> all = presets(base);
+    const auto preset = std::find_if(
+        all.begin(), all.end(), [&preset_name](const NamedConfig &cfg) {
+            return cfg.name == preset_name;
+        });
+    if (preset == all.end())
         return false;
-
-    std::size_t pos = slash;
-    while (pos != std::string::npos) {
-        const std::size_t next = name.find('/', pos + 1);
-        const std::string token =
-            name.substr(pos + 1, next == std::string::npos
-                                     ? std::string::npos
-                                     : next - pos - 1);
-        if (!applyMemVariant(token, &found.params) &&
-            !applyBpredVariant(token, &found.params) &&
-            !applySysVariant(token, &found.params))
+    NamedConfig found{name, preset->params};
+    while (slash != std::string::npos) {
+        const std::size_t next = name.find('/', slash + 1);
+        if (!applyVariant(name.substr(slash + 1, next - slash - 1),
+                          &found.params))
             return false;
-        pos = next;
+        slash = next;
     }
-    found.name = name;
     *out = found;
     return true;
+}
+
+NamedConfig
+configByNameOrDie(const std::string &name, const CoreParams &base)
+{
+    NamedConfig cfg;
+    if (!configByName(name, base, &cfg)) {
+        std::string known;
+        for (const std::string &k : knownConfigNames())
+            known += " " + k;
+        fatal("unknown config '%s' (known:%s)", name.c_str(),
+              known.c_str());
+    }
+    return cfg;
 }
 
 std::vector<std::string>
 knownConfigNames()
 {
     std::vector<std::string> names;
-    for (const NamedConfig &cfg : renoBuildup(CoreParams{}))
+    for (const NamedConfig &cfg : presets(CoreParams{}))
         names.push_back(cfg.name);
-    for (const NamedConfig &cfg : divisionOfLabor(CoreParams{})) {
-        if (cfg.name != "RENO")
-            names.push_back(cfg.name);
-    }
     return names;
 }
 
@@ -332,18 +358,22 @@ renderConfigList()
     std::string out = "configs:\n";
     for (const std::string &name : knownConfigNames())
         out += "  " + name + "\n";
-    out += "memory variants (append as /token, e.g. RENO/l3/wb):\n";
-    for (const std::string &name : memVariantNames())
-        out += "  /" + name + "\n";
-    out += "branch-prediction variants (append as /token, e.g. "
-           "RENO/tage or BASE/perceptron/ras16):\n";
-    for (const std::string &name : bpredVariantNames())
-        out += "  /" + name + "\n";
-    out += strprintf("multi-core variants (append as /token, e.g. "
-                     "RENO/2c or RENO/4c/l3; up to %u cores):\n",
-                     SysParams::MaxCores);
-    for (const std::string &name : sysVariantNames())
-        out += "  /" + name + "\n";
+    const auto group = [&out](VariantGroup g, const std::string &heading) {
+        out += heading;
+        for (const ConfigVariant &v : Variants) {
+            if (v.group == g)
+                out += std::string("  /") + v.spelling + "\n";
+        }
+    };
+    group(VariantGroup::Memory,
+          "memory variants (append as /token, e.g. RENO/l3/wb):\n");
+    group(VariantGroup::BranchPrediction,
+          "branch-prediction variants (append as /token, e.g. "
+          "RENO/tage or BASE/perceptron/ras16):\n");
+    group(VariantGroup::MultiCore,
+          strprintf("multi-core variants (append as /token, e.g. "
+                    "RENO/2c or RENO/4c/l3; up to %u cores):\n",
+                    SysParams::MaxCores));
     return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,8 @@
 
 namespace reno
 {
+
+class FlagTable;
 
 /** A machine configuration with a display name. */
 struct NamedConfig {
@@ -55,56 +58,48 @@ std::vector<NamedConfig> divisionOfLabor(const CoreParams &base);
  * Look up an evaluation configuration by name on top of @p base:
  * "BASE", "ME", "ME+CF", "RENO" (the build-up) or "RENO+FullInteg",
  * "FullInteg", "LoadsInteg" (division of labor), optionally followed
- * by '/'-separated memory-system, branch-prediction or multi-core
- * variants ("RENO/l3", "BASE/pf-stride/wb", "RENO/tage",
- * "BASE/perceptron/ras16", "RENO/2c", "RENO/4c/l3"; see
- * memVariantNames() / bpredVariantNames() / sysVariantNames()).
- * Returns false and leaves @p out untouched for an unknown name or
- * variant.
+ * by '/'-separated variant tokens (configVariants(): "RENO/l3",
+ * "BASE/pf-stride/wb", "RENO/tage", "BASE/perceptron/ras16",
+ * "RENO/2c", "RENO/4c/l3"). Returns false and leaves @p out untouched
+ * for an unknown name or variant.
  */
 bool configByName(const std::string &name, const CoreParams &base,
                   NamedConfig *out);
 
+/** configByName(), fatal() naming the known presets for an unknown
+ *  name or variant. */
+NamedConfig configByNameOrDie(const std::string &name,
+                              const CoreParams &base);
+
 /** Names accepted by configByName(), in presentation order. */
 std::vector<std::string> knownConfigNames();
 
-/**
- * Memory-system variant tokens configByName() accepts as suffixes:
- *  - "l3":        add a 2 MB 8-way 64 B 25-cycle shared L3;
- *  - "pf-next":   next-line prefetchers on the D$ and the L2;
- *  - "pf-stride": region-stride prefetchers on the D$ and the L2;
- *  - "wb":        model dirty-victim write-back bus traffic.
- */
-std::vector<std::string> memVariantNames();
-
-/** Apply one variant token to @p params; false if unknown. */
-bool applyMemVariant(const std::string &token, CoreParams *params);
+/** The --list-configs heading a variant is listed under. */
+enum class VariantGroup { Memory, BranchPrediction, MultiCore };
 
 /**
- * Branch-prediction variant tokens configByName() accepts as
- * suffixes:
- *  - "bimodal", "gshare", "tournament", "tage", "perceptron":
- *    select the direction engine (tournament is the paper default);
- *  - "ras<N>":  an N-entry return-address stack (e.g. "ras16");
- *  - "btb<N>":  an N-entry BTB (associativity capped at N);
- *  - "itt":     enable the 512-entry indirect-target table.
+ * One '/'-suffix token configByName() accepts. A spelling holding
+ * "<N>" ("ras<N>", "btb<N>", "<N>c") matches any decimal N. apply()
+ * gets N (0 for a fixed token) and returns false, leaving the params
+ * untouched, for an N the simulator would fatal() on, so a bad token
+ * reads as an unknown variant up front instead of aborting
+ * mid-campaign.
  */
-std::vector<std::string> bpredVariantNames();
+struct ConfigVariant {
+    VariantGroup group;
+    const char *spelling;
+    bool (*apply)(CoreParams &params, unsigned n);
+};
+
+/** Every variant token, in listing order (see experiment.cpp). */
+std::span<const ConfigVariant> configVariants();
 
 /** Apply one variant token to @p params; false if unknown. */
-bool applyBpredVariant(const std::string &token, CoreParams *params);
+bool applyVariant(const std::string &token, CoreParams *params);
 
-/**
- * Multi-core variant tokens configByName() accepts as suffixes:
- *  - "<N>c": run N cores (private L1s + bpred each) over the shared
- *    hierarchy under snooping MESI coherence, e.g. "2c", "4c".
- * Core counts the System constructor would fatal() on ("0c", more
- * than SysParams::MaxCores) are rejected as unknown variants.
- */
-std::vector<std::string> sysVariantNames();
-
-/** Apply one variant token to @p params; false if unknown. */
-bool applySysVariant(const std::string &token, CoreParams *params);
+/** Register "--width 4|6": the paper's machine width, into @p *width;
+ *  any other value is fatal(). CoreParams::ofWidth() maps it. */
+void addWidthFlag(FlagTable &table, unsigned *width);
 
 /**
  * Suite iteration for campaign construction: (label, workloads) for

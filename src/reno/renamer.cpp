@@ -161,8 +161,7 @@ RenoRenamer::rename(const RenameIn &in)
     // pending: instructions younger than a misintegrated load rename
     // through its stale mapping, but all of them are squashed and
     // re-renamed when the flush fires at the load's retirement.
-    if (config_.verifyValues && out.hasDest &&
-        pendingMisintegrations_ == 0) {
+    if (out.hasDest && pendingMisintegrations_ == 0) {
         const std::uint64_t mapped =
             prf_.value(out.destPreg) +
             static_cast<std::uint64_t>(

@@ -65,8 +65,6 @@ struct RenoConfig {
     /** Use the exact 16-bit overflow check instead of the paper's
      *  conservative top-two-bit check (ablation). */
     bool exactOverflowCheck = false;
-    /** Assert the register-sharing value invariant at rename. */
-    bool verifyValues = true;
 
     bool usesIt() const { return cse || ra; }
     bool any() const { return me || cf || cse || ra; }

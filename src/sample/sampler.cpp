@@ -135,7 +135,7 @@ prepareWorkload(WorkloadPrep &prep,
                 const sweep::Job job = intervalJob(
                     w, configs[ci], windows[i].window,
                     static_cast<unsigned>(i));
-                if (!cache.contains(sweep::jobDigest(job))) {
+                if (!cache.probe(sweep::jobDigest(job))) {
                     miss = true;
                     break;
                 }

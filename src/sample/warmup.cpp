@@ -8,26 +8,6 @@
 namespace reno::sample
 {
 
-namespace
-{
-
-void
-digestCacheParams(Fnv64 &h, const CacheParams &p)
-{
-    h.update(std::uint64_t{p.sizeBytes});
-    h.update(std::uint64_t{p.assoc});
-    h.update(std::uint64_t{p.blockBytes});
-    h.update(std::uint64_t{p.latency});
-    h.update(std::uint64_t{p.numMshrs});
-    h.update(std::uint64_t{static_cast<unsigned>(p.prefetch.kind)});
-    h.update(std::uint64_t{p.prefetch.degree});
-    h.update(std::uint64_t{p.prefetch.tableEntries});
-    h.update(std::uint64_t{p.prefetch.regionBytes});
-    h.update(p.writebackTraffic);
-}
-
-} // namespace
-
 std::uint64_t
 warmConfigDigest(const MemHierarchy::Params &mem_params,
                  const BranchPredParams &bp_params,
@@ -39,36 +19,11 @@ warmConfigDigest(const MemHierarchy::Params &mem_params,
     // bumps with the checkpoint warm-half layout.
     h.update("reno-warmcfg-v5");
     h.update(std::uint64_t{num_cores});
-    digestCacheParams(h, mem_params.icache);
-    digestCacheParams(h, mem_params.dcache);
-    digestCacheParams(h, mem_params.l2);
-    h.update(std::uint64_t{mem_params.extraLevels.size()});
-    for (const CacheParams &level : mem_params.extraLevels)
-        digestCacheParams(h, level);
-    h.update(mem_params.modelWritebacks);
-    h.update(std::uint64_t{mem_params.memory.accessLatency});
-    h.update(std::uint64_t{mem_params.memory.busBytes});
-    h.update(std::uint64_t{mem_params.memory.busClockDivider});
-    const DirPredParams &dir = bp_params.dir;
-    h.update(std::uint64_t{static_cast<unsigned>(dir.kind)});
-    h.update(std::uint64_t{dir.bimodalEntries});
-    h.update(std::uint64_t{dir.gshareEntries});
-    h.update(std::uint64_t{dir.chooserEntries});
-    h.update(std::uint64_t{dir.historyBits});
-    h.update(std::uint64_t{dir.tageBaseEntries});
-    h.update(std::uint64_t{dir.tageTables});
-    h.update(std::uint64_t{dir.tageEntries});
-    h.update(std::uint64_t{dir.tageTagBits});
-    h.update(std::uint64_t{dir.tageMinHist});
-    h.update(std::uint64_t{dir.tageMaxHist});
-    h.update(std::uint64_t{dir.perceptronEntries});
-    h.update(std::uint64_t{dir.perceptronHistBits});
-    h.update(std::uint64_t{bp_params.btb.entries});
-    h.update(std::uint64_t{bp_params.btb.assoc});
-    h.update(std::uint64_t{bp_params.ras.entries});
-    h.update(bp_params.indirect.enabled);
-    h.update(std::uint64_t{bp_params.indirect.entries});
-    h.update(std::uint64_t{bp_params.indirect.historyBits});
+    const auto field = [&h](std::string_view, const auto &v) {
+        h.update(paramValue(v));
+    };
+    visitMemParams(mem_params, field);
+    visitBpredParams(bp_params, field);
     return h.value();
 }
 

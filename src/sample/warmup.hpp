@@ -39,9 +39,10 @@
 namespace reno::sample
 {
 
-/** Digest of the parameters warm state depends on (mem + bpred +
- *  core count: a multi-core System shapes shared-level contents, so
- *  its warm state never aliases a single-core one). */
+/** Digest of the parameters warm state depends on: the core count
+ *  (a multi-core System shapes shared-level contents, so its warm
+ *  state never aliases a single-core one), then every field
+ *  visitMemParams() and visitBpredParams() name. */
 std::uint64_t warmConfigDigest(const MemHierarchy::Params &mem_params,
                                const BranchPredParams &bp_params,
                                unsigned num_cores = 1);

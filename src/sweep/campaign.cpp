@@ -107,7 +107,7 @@ executeJob(const Job &job)
         return r;
     }
     if (job.wantCpa) {
-        CriticalPathAnalyzer cpa(job.cpaChunk,
+        CriticalPathAnalyzer cpa(CriticalPathAnalyzer::DefaultChunk,
                                  job.config.params.robEntries,
                                  job.config.params.iqEntries);
         RunOutput run =

@@ -26,9 +26,6 @@ struct Job {
     NamedConfig config;
     /** Attach a critical-path analyzer and record its buckets. */
     bool wantCpa = false;
-    /** CPA analysis chunk size (instructions); digested, so changing
-     *  it invalidates cached CPA results. */
-    std::uint64_t cpaChunk = 1'000'000;
     /**
      * Free-form label distinguishing jobs that share a workload and a
      * config *name* but not config contents (e.g. the same "BASE"
@@ -86,6 +83,13 @@ struct JobResult {
         return out;
     }
 };
+
+/**
+ * The machine configuration as "key value" lines, one per visitParams()
+ * field (uarch/params.hpp): enums by name, bools as 0/1. Two
+ * configurations serialize identically iff they simulate identically.
+ */
+std::string serializeCoreParams(const CoreParams &params);
 
 /**
  * Content digest of a job: kernel source, input seed, the full

@@ -25,43 +25,45 @@ ResultCache::ResultCache(std::string dir)
 bool
 ResultCache::lookup(std::uint64_t digest, JobResult *out)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = mem_.find(digest);
-        if (it != mem_.end()) {
-            *out = it->second;
-            ++memoryHits_;
-            return true;
-        }
-    }
-    if (files_.load(digest, Ext,
-                    [out](const std::string &text, std::string *why) {
-                        return decode(text, out, why);
-                    })) {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem_.emplace(digest, *out);
-        ++diskHits_;
+    probe(digest);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = mem_.find(digest); it != mem_.end()) {
+        *out = it->second;
+        ++memoryHits_;
         return true;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    return false;
+    auto probed = probed_.extract(digest);
+    if (!probed || !probed.mapped()) {
+        ++misses_;
+        return false;
+    }
+    *out = *probed.mapped();
+    mem_.emplace(digest, std::move(*probed.mapped()));
+    ++diskHits_;
+    return true;
 }
 
 bool
-ResultCache::contains(std::uint64_t digest) const
+ResultCache::probe(std::uint64_t digest)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (mem_.count(digest))
             return true;
+        if (auto it = probed_.find(digest); it != probed_.end())
+            return it->second.has_value();
     }
-    JobResult scratch;
-    return files_.load(digest, Ext,
-                       [&scratch](const std::string &text,
-                                  std::string *why) {
-                           return decode(text, &scratch, why);
-                       });
+    JobResult r;
+    std::optional<JobResult> entry;
+    if (files_.load(digest, Ext,
+                    [&r](const std::string &text, std::string *why) {
+                        return decode(text, &r, why);
+                    }))
+        entry = std::move(r);
+    const bool hit = entry.has_value();
+    std::lock_guard<std::mutex> lock(mu_);
+    probed_.emplace(digest, std::move(entry));
+    return hit;
 }
 
 void
@@ -70,6 +72,7 @@ ResultCache::store(std::uint64_t digest, const JobResult &result)
     {
         std::lock_guard<std::mutex> lock(mu_);
         mem_[digest] = result;
+        probed_.erase(digest);
         ++stores_;
     }
     if (files_.enabled())

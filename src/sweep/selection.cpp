@@ -38,13 +38,7 @@ addSelectionFlags(FlagTable &table, SelectionArgs *args)
                 [args](const std::string &v) {
                     args->configNames.push_back(v);
                 });
-    table.value("--width", "4|6", "machine width (default 4)",
-                [args](const std::string &v) {
-                    if (v != "4" && v != "6")
-                        fatal("--width expects 4 or 6, got '%s'",
-                              v.c_str());
-                    args->width = v == "6" ? 6 : 4;
-                });
+    addWidthFlag(table, &args->width);
     table.number("--cores", "N",
                  strprintf("run every config on an N-core MESI-coherent "
                            "System (same as a /Nc config suffix; 1..%u)",
@@ -117,22 +111,12 @@ resolveSelection(const SelectionArgs &args)
         fatal("no workloads selected");
 
     // Configuration set.
-    const CoreParams base =
-        args.width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
+    const CoreParams base = *CoreParams::ofWidth(args.width);
     std::vector<std::string> config_names = args.configNames;
     if (config_names.empty())
         config_names = {"BASE", "RENO"};
-    for (const std::string &name : config_names) {
-        NamedConfig cfg;
-        if (!configByName(name, base, &cfg)) {
-            std::string known;
-            for (const std::string &k : knownConfigNames())
-                known += " " + k;
-            fatal("unknown config '%s' (known:%s)", name.c_str(),
-                  known.c_str());
-        }
-        sel.configs.push_back(cfg);
-    }
+    for (const std::string &name : config_names)
+        sel.configs.push_back(configByNameOrDie(name, base));
     if (args.cores > 1) {
         // Equivalent to a /Nc suffix on every selected config; the
         // suffix keeps multi-core rows distinguishable in reports.

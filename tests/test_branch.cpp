@@ -440,7 +440,7 @@ variantParams(const std::string &variant)
             variant.substr(pos, next == std::string::npos
                                     ? std::string::npos
                                     : next - pos);
-        EXPECT_TRUE(applyBpredVariant(token, &core)) << token;
+        EXPECT_TRUE(applyVariant(token, &core)) << token;
         pos = next == std::string::npos ? next : next + 1;
     }
     return core.bpred;

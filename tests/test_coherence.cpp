@@ -197,22 +197,22 @@ TEST(Mesi, ConstructionValidatesGeometry)
 TEST(SysVariant, ParsesCoreCountSuffixes)
 {
     CoreParams params = CoreParams::fourWide();
-    EXPECT_TRUE(applySysVariant("2c", &params));
+    EXPECT_TRUE(applyVariant("2c", &params));
     EXPECT_EQ(params.sys.numCores, 2u);
-    EXPECT_TRUE(applySysVariant("4c", &params));
+    EXPECT_TRUE(applyVariant("4c", &params));
     EXPECT_EQ(params.sys.numCores, 4u);
-    EXPECT_TRUE(applySysVariant("8c", &params));
+    EXPECT_TRUE(applyVariant("8c", &params));
     EXPECT_EQ(params.sys.numCores, 8u);
 }
 
 TEST(SysVariant, RejectsCountsTheSystemWouldFatalOn)
 {
     CoreParams params = CoreParams::fourWide();
-    EXPECT_FALSE(applySysVariant("0c", &params));
-    EXPECT_FALSE(applySysVariant("9c", &params));
-    EXPECT_FALSE(applySysVariant("c", &params));
-    EXPECT_FALSE(applySysVariant("xc", &params));
-    EXPECT_FALSE(applySysVariant("2", &params));
+    EXPECT_FALSE(applyVariant("0c", &params));
+    EXPECT_FALSE(applyVariant("9c", &params));
+    EXPECT_FALSE(applyVariant("c", &params));
+    EXPECT_FALSE(applyVariant("xc", &params));
+    EXPECT_FALSE(applyVariant("2", &params));
     EXPECT_EQ(params.sys.numCores, 1u) << "rejects leave params alone";
 }
 

@@ -762,7 +762,7 @@ TEST(CacheTimingGolden, SeededStreamMatchesFrozenDigests)
     // became flat arrays.
     CoreParams params = CoreParams::fourWide();
     for (const char *token : {"l3", "pf-stride", "wb"})
-        ASSERT_TRUE(applyMemVariant(token, &params));
+        ASSERT_TRUE(applyVariant(token, &params));
     MemHierarchy mem(params.mem);
     const TimingDigests got = replaySeededStream(mem);
 

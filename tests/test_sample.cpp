@@ -64,7 +64,7 @@ deepStackParams()
 {
     CoreParams p = baseParams();
     for (const char *token : {"l3", "pf-stride", "wb"})
-        EXPECT_TRUE(applyMemVariant(token, &p)) << token;
+        EXPECT_TRUE(applyVariant(token, &p)) << token;
     return p;
 }
 
@@ -523,6 +523,49 @@ TEST(SampledCampaign, CacheCountsEachIntervalJobOnce)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SampledCampaign, MalformedResultFileIsReadAndWarnedOnce)
+{
+    // The prep probe's read of an interval result file answers the
+    // campaign's lookup of the same job: a malformed file is warned
+    // about once, counted as one miss and simulated again.
+    const std::string dir =
+        ::testing::TempDir() + "reno_sample_bad_result_test";
+    std::filesystem::remove_all(dir);
+    const auto workloads = oneWorkload("g721.dec");
+    const std::vector<NamedConfig> configs = {{"BASE", baseParams()}};
+    SampleOptions options;
+    options.campaign.jobs = 1;
+    options.campaign.cacheDir = dir;
+    runSampledCampaign(workloads, configs, options);
+
+    std::filesystem::path bad;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".result") {
+            bad = entry.path();
+            break;
+        }
+    }
+    ASSERT_FALSE(bad.empty());
+    std::ofstream(bad) << "garbage\n";
+
+    sweep::ResultCache cache(dir);
+    options.campaign.cache = &cache;
+    ::testing::internal::CaptureStderr();
+    const SampledCampaign run =
+        runSampledCampaign(workloads, configs, options);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("ignoring malformed entry");
+         at != std::string::npos;
+         at = err.find("ignoring malformed entry", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.diskHits(), run.stats.jobs - 1);
+    EXPECT_EQ(cache.stores(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SampledCampaign, EstimateWithinBoundOfFullSimulation)
 {
     // End-to-end accuracy: the sampled IPC estimate must track the
@@ -635,7 +678,7 @@ TEST(Warming, SnapshotRoundTripAcrossHierarchyDepths)
         std::size_t pos = 0;
         while (pos != std::string::npos) {
             const std::size_t next = tokens.find('/', pos);
-            ASSERT_TRUE(applyMemVariant(
+            ASSERT_TRUE(applyVariant(
                 tokens.substr(pos, next == std::string::npos
                                        ? std::string::npos
                                        : next - pos),
@@ -683,11 +726,13 @@ TEST(Warming, SnapshotRoundTripAcrossHierarchyDepths)
 TEST(Warming, WarmConfigDigestTracksMemoryVariants)
 {
     const CoreParams base = baseParams();
-    for (const std::string &token : memVariantNames()) {
+    for (const ConfigVariant &v : configVariants()) {
+        if (v.group != VariantGroup::Memory)
+            continue;
         CoreParams varied = base;
-        ASSERT_TRUE(applyMemVariant(token, &varied));
+        ASSERT_TRUE(applyVariant(v.spelling, &varied));
         EXPECT_NE(warmConfigDigest(base), warmConfigDigest(varied))
-            << token << " must split the warm-state space";
+            << v.spelling << " must split the warm-state space";
     }
 }
 
@@ -714,7 +759,7 @@ TEST(Warming, SnapshotRoundTripAcrossBpredVariants)
         std::size_t pos = 0;
         while (pos != std::string::npos) {
             const std::size_t next = tokens.find('/', pos);
-            ASSERT_TRUE(applyBpredVariant(
+            ASSERT_TRUE(applyVariant(
                 tokens.substr(pos, next == std::string::npos
                                        ? std::string::npos
                                        : next - pos),
@@ -765,13 +810,13 @@ TEST(Warming, WarmConfigDigestTracksBpredVariants)
     for (const char *token : {"bimodal", "gshare", "tage",
                               "perceptron", "ras16", "btb256", "itt"}) {
         CoreParams varied = base;
-        ASSERT_TRUE(applyBpredVariant(token, &varied));
+        ASSERT_TRUE(applyVariant(token, &varied));
         EXPECT_NE(warmConfigDigest(base), warmConfigDigest(varied))
             << token << " must split the warm-state space";
     }
     // The default spelled explicitly is the same warm space.
     CoreParams tournament = base;
-    ASSERT_TRUE(applyBpredVariant("tournament", &tournament));
+    ASSERT_TRUE(applyVariant("tournament", &tournament));
     EXPECT_EQ(warmConfigDigest(base), warmConfigDigest(tournament));
 }
 

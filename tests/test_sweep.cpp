@@ -20,9 +20,9 @@
 
 #include "common/digest.hpp"
 #include "common/report.hpp"
-#include "common/serialize.hpp"
 #include "harness/experiment.hpp"
 #include "parse_args.hpp"
+#include "sample/warmup.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/reporter.hpp"
 #include "sweep/result_cache.hpp"
@@ -70,6 +70,40 @@ digestOfParams(const CoreParams &p)
     job.workload = &workloadByName("gzip");
     job.config = {"x", p};
     return jobDigest(job);
+}
+
+/** Every visitParams() key of @p p, in visit order. */
+std::vector<std::string>
+paramKeys(const CoreParams &p)
+{
+    std::vector<std::string> keys;
+    visitParams(p, [&keys](std::string_view key, const auto &) {
+        keys.emplace_back(key);
+    });
+    return keys;
+}
+
+/** @p p with its @p index-th visited field changed: a bool flipped,
+ *  an enum moved to another value, a number incremented, or one more
+ *  extra cache level. */
+CoreParams
+withFieldChanged(CoreParams p, std::size_t index)
+{
+    std::size_t at = 0;
+    visitParams(p, [&at, index](std::string_view, auto &v) {
+        if (at++ != index)
+            return;
+        using T = std::remove_reference_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+        else if constexpr (std::is_enum_v<T>)
+            v = static_cast<T>(v == T{} ? 1 : 0);
+        else if constexpr (std::is_same_v<T, std::vector<CacheParams>>)
+            v.push_back(CacheParams{});
+        else
+            ++v;
+    });
+    return p;
 }
 
 /** @p args through a table that holds the engine flags only. */
@@ -315,48 +349,41 @@ TEST(Sweep, ResultEncodingRoundTrips)
     EXPECT_FALSE(ResultCache::decode(truncated, &back));
 }
 
-TEST(Sweep, DigestTracksEveryParamsField)
+TEST(Sweep, JobDigestTracksEveryParamsField)
 {
-    const std::uint64_t base = digestOfParams(CoreParams{});
+    // Each field visitParams() names, changed in turn, must move the
+    // job digest. The memory and predictor fields and the core count
+    // -- and only they -- must move the warm-state digest: that is
+    // what lets BASE through RENO share one warming pass. RENO/l3
+    // has an extra level, so its fields are visited too.
+    NamedConfig cfg;
+    ASSERT_TRUE(configByName("RENO/l3", CoreParams::fourWide(), &cfg));
+    const CoreParams &p = cfg.params;
+    const std::vector<std::string> keys = paramKeys(p);
+    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              keys.size())
+        << "a key is named twice";
 
-    // Each mutation must move the digest; display names must not.
-    std::vector<CoreParams> variants;
-    auto mutate = [&variants](auto fn) {
-        CoreParams p;
-        fn(p);
-        variants.push_back(p);
+    std::set<std::string> warm_keys{"sys.numCores"};
+    const auto collect = [&warm_keys](std::string_view key, const auto &) {
+        warm_keys.emplace(key);
     };
-    mutate([](CoreParams &p) { p.fetchWidth = 6; });
-    mutate([](CoreParams &p) { p.issue.intOps = 2; });
-    mutate([](CoreParams &p) { p.issue.total = 4; });
-    mutate([](CoreParams &p) { p.robEntries = 64; });
-    mutate([](CoreParams &p) { p.iqEntries = 32; });
-    mutate([](CoreParams &p) { p.numPregs = 96; });
-    mutate([](CoreParams &p) { p.schedLoop = 2; });
-    mutate([](CoreParams &p) { p.branchResolveExtra = 5; });
-    mutate([](CoreParams &p) { p.numStoreSets = 128; });
-    mutate([](CoreParams &p) { p.bpred.dir.historyBits = 12; });
-    mutate([](CoreParams &p) { p.bpred.btb.entries = 1024; });
-    mutate([](CoreParams &p) { p.mem.dcache.sizeBytes = 16 * 1024; });
-    mutate([](CoreParams &p) { p.mem.l2.latency = 12; });
-    mutate([](CoreParams &p) { p.mem.memory.accessLatency = 200; });
-    mutate([](CoreParams &p) { p.reno.me = true; });
-    mutate([](CoreParams &p) { p.reno.cf = true; });
-    mutate([](CoreParams &p) { p.reno = RenoConfig::full(); });
-    mutate([](CoreParams &p) {
-        p.reno = RenoConfig::full();
-        p.reno.it.entries = 256;
-    });
-    mutate([](CoreParams &p) { p.reno.itLoadsOnly = false; });
-    mutate([](CoreParams &p) { p.reno.exactOverflowCheck = true; });
-    mutate([](CoreParams &p) { p.freeAddAddFusion = false; });
-    mutate([](CoreParams &p) { p.maxCycles = 1000; });
+    visitMemParams(p.mem, collect);
+    visitBpredParams(p.bpred, collect);
+    for (const std::string &key : warm_keys) {
+        EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+            << key;
+    }
 
-    std::set<std::uint64_t> seen{base};
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        const std::uint64_t d = digestOfParams(variants[i]);
-        EXPECT_TRUE(seen.insert(d).second)
-            << "variant " << i << " collided";
+    const std::uint64_t warm = sample::warmConfigDigest(p);
+    std::set<std::uint64_t> seen{digestOfParams(p)};
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const CoreParams changed = withFieldChanged(p, i);
+        EXPECT_TRUE(seen.insert(digestOfParams(changed)).second)
+            << keys[i] << " must change the job digest";
+        EXPECT_EQ(sample::warmConfigDigest(changed) != warm,
+                  warm_keys.count(keys[i]) == 1)
+            << keys[i];
     }
 
     // The digest is content-addressed: config/workload display names

@@ -273,7 +273,7 @@ TEST(BranchSuite, KernelsIsolateFailureModes)
     // alt: alternation defeats a history-less bimodal, not the
     // default tournament.
     CoreParams bimodal = base;
-    ASSERT_TRUE(applyBpredVariant("bimodal", &bimodal));
+    ASSERT_TRUE(applyVariant("bimodal", &bimodal));
     const Workload &alt = workloadByName("branch.alt");
     const RunOutput alt_tour = runWorkload(alt, base);
     const RunOutput alt_bim = runWorkload(alt, bimodal);
@@ -283,7 +283,7 @@ TEST(BranchSuite, KernelsIsolateFailureModes)
 
     // call: depth 24 overflows a 16-entry RAS, not the default 32.
     CoreParams ras16 = base;
-    ASSERT_TRUE(applyBpredVariant("ras16", &ras16));
+    ASSERT_TRUE(applyVariant("ras16", &ras16));
     const Workload &call = workloadByName("branch.call");
     const RunOutput call_deep = runWorkload(call, base);
     const RunOutput call_shallow = runWorkload(call, ras16);
@@ -294,7 +294,7 @@ TEST(BranchSuite, KernelsIsolateFailureModes)
     // ind: the rotating dispatch defeats the last-target BTB; the
     // indirect-target table recovers it.
     CoreParams itt = base;
-    ASSERT_TRUE(applyBpredVariant("itt", &itt));
+    ASSERT_TRUE(applyVariant("itt", &itt));
     const Workload &ind = workloadByName("branch.ind");
     const RunOutput ind_btb = runWorkload(ind, base);
     const RunOutput ind_itt = runWorkload(ind, itt);
