@@ -20,6 +20,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/cli.hpp"
+#include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "sys/system.hpp"
 #include "trace/pipetrace.hpp"
@@ -111,6 +112,9 @@ main(int argc, char **argv)
 
     const CoreParams params =
         configByNameOrDie(config, CoreParams::fourWide()).params;
+    if (params.sys.numCores > 1)
+        fatal("--config %s runs %u cores; pipeline_viewer traces one "
+              "core", config.c_str(), params.sys.numCores);
     if (workload_name.empty() && skip == 0)
         skip = 220;  // land the demo window inside the main loop
 

@@ -39,6 +39,13 @@ main(int argc, char **argv)
     table.parse(argc, argv);
     if (path.empty())
         fatal("usage: run_asm [--sim] [--config <name>] program.s");
+    CoreParams params;
+    if (sim) {
+        params = configByNameOrDie(config, CoreParams::fourWide()).params;
+        if (params.sys.numCores > 1)
+            fatal("--config %s runs %u cores; run_asm --sim simulates "
+                  "one core", config.c_str(), params.sys.numCores);
+    }
 
     std::string source;
     if (!readTextFile(path, &source))
@@ -63,8 +70,7 @@ main(int argc, char **argv)
         return static_cast<int>(emu.exitCode());
     }
 
-    System sys(configByNameOrDie(config, CoreParams::fourWide()).params,
-               {&emu});
+    System sys(params, {&emu});
     const SimResult r = sys.run();
     std::printf("output: %s\n", emu.output().c_str());
     std::printf("cycles=%llu IPC=%.3f eliminated=%.1f%% "

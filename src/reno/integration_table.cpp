@@ -159,15 +159,19 @@ IntegrationTable::invalidatePreg(PhysReg preg)
 {
     if (preg >= pregSlots_.size())
         return;
-    // Swap the list out: release() can cascade (freeing an output
-    // register re-enters here for that register's own input uses).
-    std::vector<ItSlot> list;
-    list.swap(pregSlots_[preg]);
+    // Walk the list in place and keep its capacity for the next
+    // insert that names this register. release() can cascade --
+    // freeing an output register re-enters here for that register's
+    // own input uses -- but never for preg: a register is freed only
+    // when no valid entry still names it as an output, and release()
+    // never inserts, so the cascade leaves this list alone.
+    std::vector<ItSlot> &list = pregSlots_[preg];
     for (const ItSlot slot : list) {
         const ItEntry &e = slots_[slot];
         if (e.valid && (e.in1.preg == preg || e.in2.preg == preg))
             release(slot);
     }
+    list.clear();
 }
 
 bool

@@ -1,10 +1,12 @@
 #include "sample/checkpoint.hpp"
 
+#include <algorithm>
 #include <ranges>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
+#include "obs/phase.hpp"
 
 namespace reno::sample
 {
@@ -610,17 +612,11 @@ CheckpointStore::lookup(const Workload &workload,
                         std::uint64_t start_inst,
                         const MemHierarchy::Params &mem_params,
                         const BranchPredParams &bp_params,
-                        unsigned num_cores)
+                        unsigned num_cores) const
 {
     const std::uint64_t key = checkpointKey(
         workload, start_inst,
         warmConfigDigest(mem_params, bp_params, num_cores));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = mem_.find(key);
-        if (it != mem_.end())
-            return it->second;
-    }
     SampleCheckpoint ckpt;
     if (!files_.load(key, CheckpointExt,
                      [&](const std::string &text, std::string *why) {
@@ -631,29 +627,28 @@ CheckpointStore::lookup(const Workload &workload,
                                           start_inst, why);
                      }))
         return {};
-    std::lock_guard<std::mutex> lock(mu_);
-    return mem_.emplace(key, std::move(ckpt)).first->second;
+    return ckpt;
 }
 
 SampleCheckpoint
 CheckpointStore::store(const Workload &workload,
                        std::uint64_t start_inst, EmuCheckpoint emu,
-                       const WarmState &warm)
+                       const WarmState &warm) const
 {
     SampleCheckpoint ckpt;
     ckpt.emu =
         std::make_shared<const EmuCheckpoint>(std::move(emu));
     ckpt.warm = std::make_shared<const WarmState>(warm);
-    return insert(workload, start_inst,
-                  warmConfigDigest(warm.memParams(), warm.bpParams(), 1),
-                  std::move(ckpt));
+    return persist(workload, start_inst,
+                   warmConfigDigest(warm.memParams(), warm.bpParams(), 1),
+                   std::move(ckpt));
 }
 
 SampleCheckpoint
 CheckpointStore::storeMulti(const Workload &workload,
                             std::uint64_t start_inst,
                             std::vector<EmuCheckpoint> emus,
-                            const SysWarmState &warm)
+                            const SysWarmState &warm) const
 {
     if (emus.size() != warm.numCores())
         fatal("checkpoint store: %u-core warm state given %zu "
@@ -667,59 +662,196 @@ CheckpointStore::storeMulti(const Workload &workload,
             std::make_shared<const EmuCheckpoint>(
                 std::move(emus[i])));
     ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
-    return insert(workload, start_inst,
-                  warmConfigDigest(warm.memParams(), warm.bpParams(),
-                                   warm.numCores()),
-                  std::move(ckpt));
+    return persist(workload, start_inst,
+                   warmConfigDigest(warm.memParams(), warm.bpParams(),
+                                    warm.numCores()),
+                   std::move(ckpt));
 }
 
 SampleCheckpoint
-CheckpointStore::insert(const Workload &workload,
-                        std::uint64_t start_inst,
-                        std::uint64_t warm_digest, SampleCheckpoint ckpt)
+CheckpointStore::persist(const Workload &workload,
+                         std::uint64_t start_inst,
+                         std::uint64_t warm_digest,
+                         SampleCheckpoint ckpt) const
 {
-    const std::uint64_t key =
-        checkpointKey(workload, start_inst, warm_digest);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem_[key] = ckpt;
-    }
     if (files_.enabled())
-        files_.store(key, CheckpointExt, encode(ckpt));
+        files_.store(checkpointKey(workload, start_inst, warm_digest),
+                     CheckpointExt, encode(ckpt));
     return ckpt;
 }
 
 bool
-CheckpointStore::lookupProfile(std::uint64_t key, FuncProfile *out)
+CheckpointStore::lookupProfile(std::uint64_t key,
+                               FuncProfile *out) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = profiles_.find(key);
-        if (it != profiles_.end()) {
-            *out = it->second;
-            return true;
-        }
-    }
-    if (!files_.load(key, ProfileExt,
-                     [out](const std::string &text, std::string *why) {
-                         return decodeProfile(text, out, why);
-                     }))
-        return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    profiles_.emplace(key, *out);
-    return true;
+    return files_.load(key, ProfileExt,
+                       [out](const std::string &text, std::string *why) {
+                           return decodeProfile(text, out, why);
+                       });
 }
 
 void
 CheckpointStore::storeProfile(std::uint64_t key,
-                              const FuncProfile &profile)
+                              const FuncProfile &profile) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        profiles_[key] = profile;
-    }
     if (files_.enabled())
         files_.store(key, ProfileExt, encodeProfile(profile));
+}
+
+// ---- CheckpointFeed --------------------------------------------------
+
+namespace
+{
+
+std::function<void(const SampleCheckpoint &)> &
+checkpointObserver()
+{
+    static std::function<void(const SampleCheckpoint &)> observer;
+    return observer;
+}
+
+} // namespace
+
+void
+setCheckpointObserver(
+    std::function<void(const SampleCheckpoint &)> observer)
+{
+    checkpointObserver() = std::move(observer);
+}
+
+/** The forward warming pass: the workload's emulators and the warm
+ *  state of the feed's core count, at the last captured position. */
+struct CheckpointFeed::Pass {
+    Pass(const Workload &workload, const CoreParams &params)
+        : emus(workload, params.sys.numCores)
+    {
+        if (params.sys.numCores == 1)
+            warm = std::make_unique<WarmState>(params.mem, params.bpred);
+        else
+            sysWarm = std::make_unique<SysWarmState>(
+                params.mem, params.bpred, params.sys.numCores);
+    }
+
+    SpmdEmulators emus;
+    std::unique_ptr<WarmState> warm;        //!< one core
+    std::unique_ptr<SysWarmState> sysWarm;  //!< more cores
+};
+
+CheckpointFeed::CheckpointFeed(const Workload &workload,
+                               const CoreParams &params,
+                               const std::vector<PlannedInterval> &windows,
+                               CheckpointStore store)
+    : workload_(workload), params_(params), store_(std::move(store))
+{
+    for (const PlannedInterval &p : windows)
+        starts_.push_back(p.window.startInst);
+    std::ranges::sort(starts_);
+    starts_.erase(std::unique(starts_.begin(), starts_.end()),
+                  starts_.end());
+    pending_.assign(starts_.size(), 0);
+    held_.resize(starts_.size());
+}
+
+CheckpointFeed::~CheckpointFeed() = default;
+
+std::size_t
+CheckpointFeed::position(const IntervalWindow &window) const
+{
+    const auto it = std::ranges::lower_bound(starts_, window.startInst);
+    return it != starts_.end() && *it == window.startInst
+               ? static_cast<std::size_t>(it - starts_.begin())
+               : starts_.size();
+}
+
+void
+CheckpointFeed::expect(const IntervalWindow &window)
+{
+    const std::size_t i = position(window);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (i < starts_.size())
+        ++pending_[i];
+}
+
+SampleCheckpoint
+CheckpointFeed::take(const IntervalWindow &window)
+{
+    const std::size_t i = position(window);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (i >= starts_.size() || pending_[i] == 0)
+            return {};
+        if (i < resolved_)
+            return handOut(i);
+    }
+    // Resolve in ascending order up to i: the warming pass only moves
+    // forward. Another worker may get there first.
+    std::lock_guard<std::mutex> order(passMu_);
+    for (;;) {
+        std::size_t next = 0;
+        bool wanted = false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (i < resolved_)
+                return handOut(i);
+            next = resolved_;
+            wanted = pending_[next] > 0;
+        }
+        SampleCheckpoint ckpt = wanted ? resolve(next) : SampleCheckpoint{};
+        std::lock_guard<std::mutex> lock(mu_);
+        held_[next] = std::move(ckpt);
+        ++resolved_;
+        // No announced position ahead: the pass has done its work.
+        if (std::all_of(pending_.begin() + resolved_, pending_.end(),
+                        [](unsigned n) { return n == 0; }))
+            pass_.reset();
+    }
+}
+
+SampleCheckpoint
+CheckpointFeed::handOut(std::size_t i)
+{
+    SampleCheckpoint ckpt = held_[i];
+    if (--pending_[i] == 0)
+        held_[i] = {};
+    return ckpt;
+}
+
+SampleCheckpoint
+CheckpointFeed::resolve(std::size_t i)
+{
+    const std::uint64_t start = starts_[i];
+    const unsigned cores = params_.sys.numCores;
+    SampleCheckpoint ckpt = store_.lookup(workload_, start, params_.mem,
+                                          params_.bpred, cores);
+    if (!ckpt.usable()) {
+        if (!pass_)
+            pass_ = std::make_unique<Pass>(workload_, params_);
+        SpmdEmulators &emus = pass_->emus;
+        const std::uint64_t before = emus.instCount();
+        obs::PhaseSpan phase("sample.capture");
+        if (cores == 1) {
+            Emulator &emu = *emus.cores()[0];
+            warmStep(emu, *pass_->warm, start);
+            ckpt = store_.store(workload_, start, emu.checkpoint(),
+                                *pass_->warm);
+        } else {
+            // One interleaved warming pass drives every emulator
+            // stream through the shared stack and the warming-mode
+            // MESI bus; each position snapshots all N functional
+            // states plus the system warm state.
+            warmStepMulti(emus.cores(), *pass_->sysWarm, start);
+            std::vector<EmuCheckpoint> snaps;
+            snaps.reserve(cores);
+            for (const Emulator *emu : emus.cores())
+                snaps.push_back(emu->checkpoint());
+            ckpt = store_.storeMulti(workload_, start, std::move(snaps),
+                                     *pass_->sysWarm);
+        }
+        phase.setInsts(emus.instCount() - before);
+    }
+    if (checkpointObserver())
+        checkpointObserver()(ckpt);
+    return ckpt;
 }
 
 } // namespace reno::sample

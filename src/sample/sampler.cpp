@@ -52,16 +52,14 @@ groupByWarmConfig(const std::vector<NamedConfig> &configs)
     return groups;
 }
 
-/** Per-workload planning state shared by the prep passes. Profiles
- *  and interval plans are per core count: an N-core config samples
- *  the AGGREGATE instruction stream, whose length and interval
- *  boundaries differ from the single-core stream's. */
+/** Per-workload planning state. Profiles and interval plans are per
+ *  core count: an N-core config samples the AGGREGATE instruction
+ *  stream, whose length and interval boundaries differ from the
+ *  single-core stream's. */
 struct WorkloadPrep {
     const Workload *workload = nullptr;
     std::map<unsigned, FuncProfile> profiles;
     std::map<unsigned, std::vector<PlannedInterval>> windows;
-    /** checkpoints[group][window]; unusable = warm from the start. */
-    std::vector<std::vector<SampleCheckpoint>> checkpoints;
 };
 
 sweep::Job
@@ -76,28 +74,16 @@ intervalJob(const Workload &workload, const NamedConfig &config,
     return job;
 }
 
-/**
- * Prepare one workload: profile (store-cached), plan, and capture the
- * checkpoints that uncached interval jobs will need -- one warming
- * pass per warm-config group. An interval's checkpoint is skipped
- * when every configuration's job at that interval is already in the
- * result cache, so a warm rerun does no emulation at all.
- */
+/** Profile (store-cached) and plan one workload, once per distinct
+ *  core count of the warm groups. */
 void
-prepareWorkload(WorkloadPrep &prep,
-                const std::vector<NamedConfig> &configs,
-                const std::vector<WarmGroup> &groups,
-                const SamplePlan &plan, CheckpointStore &store,
-                sweep::ResultCache &cache)
+prepareWorkload(WorkloadPrep &prep, const std::vector<WarmGroup> &groups,
+                const SamplePlan &plan, const CheckpointStore &store)
 {
     const Workload &w = *prep.workload;
-    // Trace-only wrapper: the leaf phases inside (sim.functional,
-    // sample.capture) do the PhaseStats accounting.
+    // Trace-only wrapper: the leaf phase inside (sim.functional) does
+    // the PhaseStats accounting.
     obs::TraceSpan prep_span("sample.prepare:" + w.name, "phase");
-
-    // Profile and plan once per distinct core count: the aggregate
-    // instruction stream of an N-core SPMD run is N times as long,
-    // so its interval boundaries are its own.
     for (const WarmGroup &group : groups) {
         const unsigned cores =
             group.representative->params.sys.numCores;
@@ -114,87 +100,6 @@ prepareWorkload(WorkloadPrep &prep,
         prep.profiles[cores] = profile;
         prep.windows[cores] =
             planIntervals(profile.totalInsts, plan);
-    }
-
-    prep.checkpoints.assign(groups.size(), {});
-
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const WarmGroup &group = groups[gi];
-        const CoreParams &rep = group.representative->params;
-        const unsigned cores = rep.sys.numCores;
-        const std::vector<PlannedInterval> &windows =
-            prep.windows.at(cores);
-        prep.checkpoints[gi].resize(windows.size());
-
-        // An interval needs a checkpoint only if some configuration
-        // of this group misses the result cache at that interval.
-        std::vector<std::size_t> needed;
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-            bool miss = false;
-            for (const std::size_t ci : group.configIndices) {
-                const sweep::Job job = intervalJob(
-                    w, configs[ci], windows[i].window,
-                    static_cast<unsigned>(i));
-                if (!cache.probe(sweep::jobDigest(job))) {
-                    miss = true;
-                    break;
-                }
-            }
-            if (miss)
-                needed.push_back(i);
-        }
-        if (needed.empty())
-            continue;
-
-        // Satisfy from the checkpoint store first; capture the rest
-        // in one ascending functional-warming pass.
-        std::vector<std::size_t> capture;
-        for (const std::size_t i : needed) {
-            SampleCheckpoint ckpt = store.lookup(
-                w, windows[i].window.startInst, rep.mem, rep.bpred,
-                cores);
-            if (ckpt.usable())
-                prep.checkpoints[gi][i] = std::move(ckpt);
-            else
-                capture.push_back(i);
-        }
-        if (capture.empty())
-            continue;
-
-        const SpmdEmulators emus(w, cores);
-        if (cores == 1) {
-            Emulator &emu = *emus.cores()[0];
-            WarmState warm(rep.mem, rep.bpred);
-            obs::PhaseSpan phase("sample.capture");
-            for (const std::size_t i : capture) {
-                warmStep(emu, warm, windows[i].window.startInst);
-                prep.checkpoints[gi][i] = store.store(
-                    w, windows[i].window.startInst,
-                    emu.checkpoint(), warm);
-            }
-            phase.setInsts(emu.instCount());
-            continue;
-        }
-
-        // Multi-core capture: one interleaved warming pass drives
-        // every emulator stream through the shared stack and the
-        // warming-mode MESI bus; each ascending aggregate position
-        // snapshots all N functional states plus the system warm
-        // state.
-        SysWarmState warm(rep.mem, rep.bpred, cores);
-        obs::PhaseSpan phase("sample.capture");
-        for (const std::size_t i : capture) {
-            warmStepMulti(emus.cores(), warm,
-                          windows[i].window.startInst);
-            std::vector<EmuCheckpoint> snaps;
-            snaps.reserve(cores);
-            for (const Emulator *emu : emus.cores())
-                snaps.push_back(emu->checkpoint());
-            prep.checkpoints[gi][i] = store.storeMulti(
-                w, windows[i].window.startInst, std::move(snaps),
-                warm);
-        }
-        phase.setInsts(emus.instCount());
     }
 }
 
@@ -218,14 +123,11 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
                   cfg.name.c_str(), cfg.params.sys.numCores);
     }
 
-    // One result cache spans the prep probe and the campaign run, and
-    // the checkpoint store shares its persistence directory.
-    sweep::ResultCache local_cache(options.campaign.cacheDir);
-    sweep::ResultCache &cache =
-        options.campaign.cache ? *options.campaign.cache : local_cache;
-    CheckpointStore store(options.campaign.cacheDir.empty()
-                              ? ""
-                              : options.campaign.cacheDir + "/ckpt");
+    // The checkpoint store shares the result cache's persistence
+    // directory.
+    const CheckpointStore store(options.campaign.cacheDir.empty()
+                                    ? ""
+                                    : options.campaign.cacheDir + "/ckpt");
 
     const std::vector<WarmGroup> groups = groupByWarmConfig(configs);
 
@@ -236,7 +138,8 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
             config_group[ci] = gi;
     }
 
-    // Prep passes are independent per workload: run them on the pool.
+    // Profiling passes are independent per workload: run them on the
+    // pool.
     std::vector<WorkloadPrep> preps(workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i)
         preps[i].workload = workloads[i];
@@ -244,63 +147,88 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
         sweep::resolveJobCount(options.campaign.jobs);
     if (workers <= 1 || preps.size() <= 1) {
         for (WorkloadPrep &prep : preps)
-            prepareWorkload(prep, configs, groups, options.plan,
-                            store, cache);
+            prepareWorkload(prep, groups, options.plan, store);
     } else {
         sweep::ThreadPool pool(unsigned(
             std::min<std::size_t>(workers, preps.size())));
         for (WorkloadPrep &prep : preps) {
-            pool.submit(
-                [&prep, &configs, &groups, &options, &store, &cache] {
-                    prepareWorkload(prep, configs, groups,
-                                    options.plan, store, cache);
-                });
+            pool.submit([&prep, &groups, &options, &store] {
+                prepareWorkload(prep, groups, options.plan, store);
+            });
         }
         pool.waitIdle();
     }
 
-    // One job per (workload, configuration, interval). A config's
-    // interval plan depends on its core count (aggregate stream).
+    // The interval jobs of a (workload, warm group) share one
+    // checkpoint feed.
+    std::vector<std::vector<std::shared_ptr<CheckpointFeed>>> feeds(
+        preps.size());
+    for (std::size_t wi = 0; wi < preps.size(); ++wi) {
+        for (const WarmGroup &group : groups) {
+            const CoreParams &rep = group.representative->params;
+            feeds[wi].push_back(std::make_shared<CheckpointFeed>(
+                *preps[wi].workload, rep,
+                preps[wi].windows.at(rep.sys.numCores), store));
+        }
+    }
+
+    // One job per (workload, configuration, interval); a config's
+    // interval plan depends on its core count (aggregate stream). The
+    // submission order bounds how many checkpoints are alive: the
+    // workloads go in lanes of one per worker, and a lane's jobs are
+    // interval-major, then configuration, then workload. So the jobs
+    // of one checkpoint run close together, and each of a lane's
+    // workers starts a different workload's warming pass.
+    // job_index[workload][config] lists the jobs in interval order.
+    std::vector<std::vector<std::vector<std::size_t>>> job_index(
+        preps.size(),
+        std::vector<std::vector<std::size_t>>(configs.size()));
     sweep::Campaign campaign;
-    for (const WorkloadPrep &prep : preps) {
-        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-            const std::vector<PlannedInterval> &windows =
-                prep.windows.at(configs[ci].params.sys.numCores);
-            for (std::size_t i = 0; i < windows.size(); ++i) {
-                sweep::Job job =
-                    intervalJob(*prep.workload, configs[ci],
-                                windows[i].window,
-                                static_cast<unsigned>(i));
-                job.checkpoint =
-                    prep.checkpoints[config_group[ci]][i];
-                campaign.add(std::move(job));
+    for (std::size_t lane = 0; lane < preps.size(); lane += workers) {
+        const std::size_t lane_end =
+            std::min<std::size_t>(preps.size(), lane + workers);
+        std::size_t intervals = 0;
+        for (std::size_t wi = lane; wi < lane_end; ++wi) {
+            for (const auto &[cores, windows] : preps[wi].windows)
+                intervals = std::max(intervals, windows.size());
+        }
+        for (std::size_t i = 0; i < intervals; ++i) {
+            for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+                for (std::size_t wi = lane; wi < lane_end; ++wi) {
+                    const std::vector<PlannedInterval> &windows =
+                        preps[wi].windows.at(
+                            configs[ci].params.sys.numCores);
+                    if (i >= windows.size())
+                        continue;
+                    sweep::Job job = intervalJob(
+                        *preps[wi].workload, configs[ci],
+                        windows[i].window, static_cast<unsigned>(i));
+                    job.checkpoints = feeds[wi][config_group[ci]];
+                    job_index[wi][ci].push_back(
+                        campaign.add(std::move(job)));
+                }
             }
         }
     }
 
-    sweep::CampaignOptions run_opts = options.campaign;
-    run_opts.cache = &cache;
-    const sweep::CampaignResults results = campaign.run(run_opts);
+    const sweep::CampaignResults results = campaign.run(options.campaign);
 
     SampledCampaign out;
     out.stats = results.stats();
-    std::size_t cursor = 0;
-    for (const WorkloadPrep &prep : preps) {
-        for (const NamedConfig &cfg : configs) {
-            const unsigned cores = cfg.params.sys.numCores;
-            const std::vector<PlannedInterval> &plan_windows =
-                prep.windows.at(cores);
+    for (std::size_t wi = 0; wi < preps.size(); ++wi) {
+        const WorkloadPrep &prep = preps[wi];
+        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+            const unsigned cores = configs[ci].params.sys.numCores;
             std::vector<SimResult> windows;
-            windows.reserve(plan_windows.size());
-            for (std::size_t i = 0; i < plan_windows.size(); ++i)
-                windows.push_back(results.at(cursor++).sim);
+            for (const std::size_t job : job_index[wi][ci])
+                windows.push_back(results.at(job).sim);
             SampledRun run;
             run.workload = prep.workload;
-            run.config = cfg.name;
+            run.config = configs[ci].name;
             run.numCores = cores;
             run.est = aggregateIntervals(
-                prep.profiles.at(cores).totalInsts, plan_windows,
-                windows);
+                prep.profiles.at(cores).totalInsts,
+                prep.windows.at(cores), windows);
             out.runs.push_back(std::move(run));
         }
     }

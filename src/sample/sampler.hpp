@@ -7,13 +7,16 @@
  *
  * Per workload the sampler (1) obtains a functional profile (dynamic
  * instruction count) -- from the checkpoint store when warm, else by
- * one functional pass, (2) plans systematically-spaced intervals,
- * (3) captures functional checkpoints at the interval starts that the
- * result cache cannot already satisfy (one more functional pass, only
- * when needed), and (4) submits one sweep::Job per (workload, config,
- * interval). Checkpoints are shared by every configuration and are
- * persisted under `<cache-dir>/ckpt` when the campaign cache is
- * disk-backed.
+ * one functional pass, (2) plans systematically-spaced intervals, and
+ * (3) submits one sweep::Job per (workload, config, interval), all in
+ * one campaign. The jobs of a (workload, warm group) share a
+ * CheckpointFeed: the campaign announces the jobs that miss the result
+ * cache, the first of them to start at an interval has the workload's
+ * single ascending warming pass capture that interval's checkpoint (or
+ * loads it from `<cache-dir>/ckpt`), and the last of them frees it. So
+ * a checkpoint is captured only when some job needs it, a warm rerun
+ * does no emulation, and memory holds a few checkpoints per worker,
+ * not every workload's every interval.
  *
  * Everything is deterministic: sampled reports are byte-identical
  * across --jobs 1 and --jobs N and across cold/warm caches.

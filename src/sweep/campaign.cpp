@@ -100,10 +100,12 @@ executeJob(const Job &job)
         if (job.wantCpa)
             fatal("critical-path analysis is not supported for "
                   "sampled jobs");
+        const sample::SampleCheckpoint ckpt =
+            job.checkpoints ? job.checkpoints->take(job.window)
+                            : sample::SampleCheckpoint{};
         r.sim = sample::runIntervalDetailed(*job.workload,
                                             job.config.params,
-                                            job.window,
-                                            &job.checkpoint);
+                                            job.window, &ckpt);
         return r;
     }
     if (job.wantCpa) {
@@ -153,6 +155,9 @@ Campaign::run(const CampaignOptions &options) const
 
     CampaignResults out;
     out.jobs_ = jobs_;
+    // Results outlive the run; the checkpoint feeds must not.
+    for (Job &job : out.jobs_)
+        job.checkpoints.reset();
     out.stats_.jobs = jobs_.size();
     out.stats_.unique = slots.size();
     out.stats_.workers = workers;
@@ -182,6 +187,13 @@ Campaign::run(const CampaignOptions &options) const
         } else {
             misses.push_back(&slot);
         }
+    }
+
+    // Announce every sampled job about to execute to its checkpoint
+    // feed, so each checkpoint lives only until its last job takes it.
+    for (const Slot *slot : misses) {
+        if (slot->job->checkpoints)
+            slot->job->checkpoints->expect(slot->job->window);
     }
 
     // Simulate the misses: inline when serial, else on the pool. The

@@ -14,7 +14,7 @@
 
 #include "cpa/critpath.hpp"
 #include "harness/experiment.hpp"
-#include "sample/interval.hpp"
+#include "sample/checkpoint.hpp"
 #include "workloads/workloads.hpp"
 
 namespace reno::sweep
@@ -43,12 +43,13 @@ struct Job {
     sample::IntervalWindow window;
 
     /**
-     * Optional execution accelerator for a sampled job: a functional
-     * + warm-state checkpoint at or before window.startInst. The
-     * result is identical with or without it (a checkpoint is derived
-     * state), so it is NOT part of the content digest.
+     * Optional execution accelerator for a sampled job: the feed its
+     * functional + warm-state checkpoint at window.startInst comes
+     * from, taken when the job starts. The result is identical with
+     * or without it (a checkpoint is derived state), so it is NOT
+     * part of the content digest.
      */
-    sample::SampleCheckpoint checkpoint;
+    std::shared_ptr<sample::CheckpointFeed> checkpoints;
 
     bool sampled() const { return window.measureInsts > 0; }
 };

@@ -25,45 +25,29 @@ ResultCache::ResultCache(std::string dir)
 bool
 ResultCache::lookup(std::uint64_t digest, JobResult *out)
 {
-    probe(digest);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = mem_.find(digest); it != mem_.end()) {
-        *out = it->second;
-        ++memoryHits_;
-        return true;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (auto it = mem_.find(digest); it != mem_.end()) {
+            *out = it->second;
+            ++memoryHits_;
+            return true;
+        }
     }
-    auto probed = probed_.extract(digest);
-    if (!probed || !probed.mapped()) {
+    JobResult r;
+    const bool hit =
+        files_.load(digest, Ext,
+                    [&r](const std::string &text, std::string *why) {
+                        return decode(text, &r, why);
+                    });
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!hit) {
         ++misses_;
         return false;
     }
-    *out = *probed.mapped();
-    mem_.emplace(digest, std::move(*probed.mapped()));
+    *out = r;
+    mem_.emplace(digest, std::move(r));
     ++diskHits_;
     return true;
-}
-
-bool
-ResultCache::probe(std::uint64_t digest)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (mem_.count(digest))
-            return true;
-        if (auto it = probed_.find(digest); it != probed_.end())
-            return it->second.has_value();
-    }
-    JobResult r;
-    std::optional<JobResult> entry;
-    if (files_.load(digest, Ext,
-                    [&r](const std::string &text, std::string *why) {
-                        return decode(text, &r, why);
-                    }))
-        entry = std::move(r);
-    const bool hit = entry.has_value();
-    std::lock_guard<std::mutex> lock(mu_);
-    probed_.emplace(digest, std::move(entry));
-    return hit;
 }
 
 void
@@ -72,7 +56,6 @@ ResultCache::store(std::uint64_t digest, const JobResult &result)
     {
         std::lock_guard<std::mutex> lock(mu_);
         mem_[digest] = result;
-        probed_.erase(digest);
         ++stores_;
     }
     if (files_.enabled())

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -42,14 +41,6 @@ class ResultCache
      */
     bool lookup(std::uint64_t digest, JobResult *out);
 
-    /**
-     * True if lookup() would hit @p digest. Moves no statistic. What
-     * it reads from disk -- the decoded entry, or that there is no
-     * usable one -- answers the next lookup() of @p digest, so a file
-     * is read, and a malformed one warned about, once.
-     */
-    bool probe(std::uint64_t digest);
-
     /** Insert a result (memory, plus disk when persistent). */
     void store(std::uint64_t digest, const JobResult &result);
 
@@ -73,9 +64,6 @@ class ResultCache
   private:
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t, JobResult> mem_;
-    /** probe() outcomes not yet looked up: the disk entry, or nullopt
-     *  for a missing or rejected file. */
-    std::unordered_map<std::uint64_t, std::optional<JobResult>> probed_;
     TextFileStore files_;
     std::uint64_t memoryHits_ = 0;
     std::uint64_t diskHits_ = 0;

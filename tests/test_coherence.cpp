@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -397,16 +398,22 @@ TEST(Checkpoint, StoreKeysSeparateCoreCounts)
         testWorkload("t.ckpt2", multiLockSource(4000));
     const Program &prog = assembleWorkload(w);
     const CoreParams params = CoreParams::fourWide();
-    sample::CheckpointStore store;  // in-memory
+    // The store keeps checkpoints on disk only.
+    const std::string dir =
+        ::testing::TempDir() + "reno_ckpt_core_keys_test";
+    std::filesystem::remove_all(dir);
+    const sample::CheckpointStore store(dir);
 
     Emulator::Options opts;
     opts.randSeed = w.seed;
+    // 150 instructions per core: aggregate position 300, as a disk
+    // lookup at 300 requires.
     Emulator emu0(prog, opts);
-    emu0.runUntil(300);
+    emu0.runUntil(150);
     opts.randSeed = w.seed + 1;
     opts.coreId = 1;
     Emulator emu1(prog, opts);
-    emu1.runUntil(300);
+    emu1.runUntil(150);
 
     sample::SysWarmState warm(params.mem, params.bpred, 2);
     std::vector<EmuCheckpoint> snaps;
@@ -423,6 +430,7 @@ TEST(Checkpoint, StoreKeysSeparateCoreCounts)
                              /*num_cores=*/1)
                      .usable())
         << "a 2-core checkpoint must never satisfy a 1-core lookup";
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sampling, TooManyCoresRejectedByName)

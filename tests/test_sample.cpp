@@ -19,12 +19,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -211,7 +213,8 @@ TEST(Interval, CheckpointAcceleratesWithoutChangingResults)
     const SimResult plain = runIntervalDetailed(w, params, win);
 
     // Checkpoint exactly at the window start.
-    CheckpointStore store;
+    const CheckpointStore store;
+    SampleCheckpoint at_start;
     {
         const Program &prog = assembleWorkload(w);
         Emulator::Options opts;
@@ -219,17 +222,15 @@ TEST(Interval, CheckpointAcceleratesWithoutChangingResults)
         Emulator emu(prog, opts);
         WarmState warm(params.mem, params.bpred);
         warmStep(emu, warm, win.startInst);
-        store.store(w, win.startInst, emu.checkpoint(), warm);
+        at_start = store.store(w, win.startInst, emu.checkpoint(), warm);
     }
-    const SampleCheckpoint at_start =
-        store.lookup(w, win.startInst, params.mem, params.bpred);
     ASSERT_TRUE(at_start.usable());
     EXPECT_TRUE(
         sameSim(runIntervalDetailed(w, params, win, &at_start),
                 plain));
 
     // Checkpoint BEFORE the window start (warm-steps the gap).
-    CheckpointStore store2;
+    SampleCheckpoint before;
     {
         const Program &prog = assembleWorkload(w);
         Emulator::Options opts;
@@ -237,10 +238,8 @@ TEST(Interval, CheckpointAcceleratesWithoutChangingResults)
         Emulator emu(prog, opts);
         WarmState warm(params.mem, params.bpred);
         warmStep(emu, warm, 120'000);
-        store2.store(w, 120'000, emu.checkpoint(), warm);
+        before = store.store(w, 120'000, emu.checkpoint(), warm);
     }
-    const SampleCheckpoint before =
-        store2.lookup(w, 120'000, params.mem, params.bpred);
     ASSERT_TRUE(before.usable());
     EXPECT_TRUE(sameSim(runIntervalDetailed(w, params, win, &before),
                         plain));
@@ -432,9 +431,12 @@ TEST(SampledJob, DigestCoversWindowButNotCheckpoint)
     other.window.startInst = 2000;
     EXPECT_NE(sweep::jobDigest(other), sampled_digest);
 
-    // The checkpoint is an accelerator, not an input.
+    // The checkpoint feed is an accelerator, not an input.
     sweep::Job with_ckpt = job;
-    with_ckpt.checkpoint.emu = std::make_shared<EmuCheckpoint>();
+    with_ckpt.checkpoints = std::make_shared<CheckpointFeed>(
+        *job.workload, job.config.params,
+        std::vector<PlannedInterval>{{job.window, 4000, false}},
+        CheckpointStore());
     EXPECT_EQ(sweep::jobDigest(with_ckpt), sampled_digest);
 }
 
@@ -485,10 +487,10 @@ TEST(SampledCampaign, WarmCacheRerunSimulatesNothing)
 
 TEST(SampledCampaign, CacheCountsEachIntervalJobOnce)
 {
-    // The prep pass probes the result cache for every interval job
-    // before the campaign looks the job up; only the lookup counts.
-    // Each run gets a fresh cache over one directory, so the warm
-    // run's hits all come from disk.
+    // The campaign looks each interval job up once, and the counters
+    // and gauges count exactly those lookups. Each run gets a fresh
+    // cache over one directory, so the warm run's hits all come from
+    // disk.
     const std::string dir =
         ::testing::TempDir() + "reno_sample_cache_count_test";
     std::filesystem::remove_all(dir);
@@ -525,9 +527,9 @@ TEST(SampledCampaign, CacheCountsEachIntervalJobOnce)
 
 TEST(SampledCampaign, MalformedResultFileIsReadAndWarnedOnce)
 {
-    // The prep probe's read of an interval result file answers the
-    // campaign's lookup of the same job: a malformed file is warned
-    // about once, counted as one miss and simulated again.
+    // The campaign reads an interval result file once: a malformed
+    // file is warned about once, counted as one miss and simulated
+    // again.
     const std::string dir =
         ::testing::TempDir() + "reno_sample_bad_result_test";
     std::filesystem::remove_all(dir);
@@ -563,6 +565,116 @@ TEST(SampledCampaign, MalformedResultFileIsReadAndWarnedOnce)
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.diskHits(), run.stats.jobs - 1);
     EXPECT_EQ(cache.stores(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Counts the checkpoints a sampled campaign resolves that are still
+ * alive, through weak references to their functional halves: the
+ * observer records the peak at every capture or disk load.
+ */
+class LiveCheckpoints
+{
+  public:
+    LiveCheckpoints()
+    {
+        setCheckpointObserver([this](const SampleCheckpoint &ckpt) {
+            std::lock_guard<std::mutex> lock(mu_);
+            seen_.push_back(ckpt.emu);
+            peak_ = std::max(peak_, liveLocked());
+        });
+    }
+    ~LiveCheckpoints() { setCheckpointObserver({}); }
+
+    std::size_t
+    resolved()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return seen_.size();
+    }
+    std::size_t
+    live()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return liveLocked();
+    }
+    std::size_t
+    peak()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return peak_;
+    }
+
+  private:
+    std::size_t
+    liveLocked() const
+    {
+        return static_cast<std::size_t>(std::ranges::count_if(
+            seen_, [](const auto &w) { return !w.expired(); }));
+    }
+
+    std::mutex mu_;
+    std::vector<std::weak_ptr<const EmuCheckpoint>> seen_;
+    std::size_t peak_ = 0;
+};
+
+TEST(SampledCampaign, CheckpointsLiveOnlyUntilTheirLastJob)
+{
+    // Six workloads of four intervals each: holding every checkpoint
+    // until the campaign ends would keep 24 alive. Streamed, at most
+    // one workload's checkpoints are pending per worker, and a serial
+    // campaign drops each checkpoint before it captures the next.
+    std::vector<const Workload *> workloads;
+    for (const Workload &w : multiWorkloads())
+        workloads.push_back(&w);
+    workloads.push_back(&workloadByName("g721.dec"));
+    ASSERT_EQ(workloads.size(), 6u);
+    const std::string dir =
+        ::testing::TempDir() + "reno_sample_live_ckpt_test";
+
+    for (const unsigned cores : {1u, 2u}) {
+        NamedConfig base{"BASE", baseParams()};
+        NamedConfig me{"ME", withReno(CoreParams::fourWide(),
+                                      RenoConfig::meOnly())};
+        NamedConfig reno{"RENO", withReno(CoreParams::fourWide(),
+                                          RenoConfig::full())};
+        for (NamedConfig *cfg : {&base, &me, &reno})
+            cfg->params.sys.numCores = cores;
+        for (const unsigned jobs : {1u, 4u}) {
+            for (const bool disk : {false, true}) {
+                SCOPED_TRACE(strprintf("%u cores, --jobs %u, %s",
+                                       cores, jobs,
+                                       disk ? "--cache-dir" : "no cache"));
+                std::filesystem::remove_all(dir);
+                SampleOptions options;
+                options.plan.intervals = 4;
+                options.plan.warmupInsts = 500;
+                options.plan.measureInsts = 1000;
+                options.plan.coldInsts = 2000;
+                options.campaign.jobs = jobs;
+                if (disk)
+                    options.campaign.cacheDir = dir;
+                // With a cache directory, a second campaign of other
+                // configurations in the same warm group misses every
+                // result and resumes from the checkpoints on disk.
+                std::vector<std::vector<NamedConfig>> runs = {{base}};
+                if (disk)
+                    runs.push_back({me, reno});
+                for (const std::vector<NamedConfig> &configs : runs) {
+                    LiveCheckpoints live;
+                    const SampledCampaign run =
+                        runSampledCampaign(workloads, configs, options);
+                    ASSERT_EQ(run.stats.simulated, run.stats.jobs);
+                    EXPECT_GE(live.resolved(), workloads.size());
+                    EXPECT_EQ(live.live(), 0u)
+                        << "a checkpoint outlived the campaign";
+                    EXPECT_LE(live.peak(), jobs * options.plan.intervals);
+                    if (jobs == 1)
+                        EXPECT_EQ(live.peak(), 1u);
+                }
+            }
+        }
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -691,7 +803,7 @@ TEST(Warming, SnapshotRoundTripAcrossHierarchyDepths)
 
         // Checkpoint BEFORE the window start so the decoded warm
         // state must also compose with continued warming.
-        CheckpointStore store;
+        SampleCheckpoint stored;
         {
             const Program &prog = assembleWorkload(w);
             Emulator::Options opts;
@@ -699,10 +811,9 @@ TEST(Warming, SnapshotRoundTripAcrossHierarchyDepths)
             Emulator emu(prog, opts);
             WarmState warm(params.mem, params.bpred);
             warmStep(emu, warm, 100'000);
-            store.store(w, 100'000, emu.checkpoint(), warm);
+            stored = CheckpointStore().store(w, 100'000, emu.checkpoint(),
+                                             warm);
         }
-        const SampleCheckpoint stored =
-            store.lookup(w, 100'000, params.mem, params.bpred);
         ASSERT_TRUE(stored.usable()) << variant;
 
         const std::string text = CheckpointStore::encode(stored);
@@ -772,7 +883,7 @@ TEST(Warming, SnapshotRoundTripAcrossBpredVariants)
 
         // Checkpoint BEFORE the window start so the decoded warm
         // state must also compose with continued warming.
-        CheckpointStore store;
+        SampleCheckpoint stored;
         {
             const Program &prog = assembleWorkload(w);
             Emulator::Options opts;
@@ -780,10 +891,9 @@ TEST(Warming, SnapshotRoundTripAcrossBpredVariants)
             Emulator emu(prog, opts);
             WarmState warm(params.mem, params.bpred);
             warmStep(emu, warm, 100'000);
-            store.store(w, 100'000, emu.checkpoint(), warm);
+            stored = CheckpointStore().store(w, 100'000, emu.checkpoint(),
+                                             warm);
         }
-        const SampleCheckpoint stored =
-            store.lookup(w, 100'000, params.mem, params.bpred);
         ASSERT_TRUE(stored.usable()) << variant;
 
         const std::string text = CheckpointStore::encode(stored);
@@ -841,9 +951,9 @@ multiCkpt(const SpmdEmulators &emus, const SysWarmState &warm)
 }
 
 /** Warm @p cores SPMD streams to aggregate position @p pos and put
- *  the snapshot in @p store. */
-void
-storeMultiCkpt(CheckpointStore &store, const Workload &w,
+ *  the snapshot in @p store; returns it. */
+SampleCheckpoint
+storeMultiCkpt(const CheckpointStore &store, const Workload &w,
                const CoreParams &params, unsigned cores,
                std::uint64_t pos)
 {
@@ -853,7 +963,7 @@ storeMultiCkpt(CheckpointStore &store, const Workload &w,
     std::vector<EmuCheckpoint> snaps;
     for (const Emulator *e : emus.cores())
         snaps.push_back(e->checkpoint());
-    store.storeMulti(w, pos, std::move(snaps), warm);
+    return store.storeMulti(w, pos, std::move(snaps), warm);
 }
 
 /** Recompute the trailing integrity digest after mutating the body,
@@ -943,10 +1053,8 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
         params.sys.numCores = 2;
         const SimResult plain = runIntervalDetailed(w, params, win);
 
-        CheckpointStore store;
-        storeMultiCkpt(store, w, params, 2, 30'000);
         const SampleCheckpoint ckpt =
-            store.lookup(w, 30'000, params.mem, params.bpred, 2);
+            storeMultiCkpt(CheckpointStore(), w, params, 2, 30'000);
         ASSERT_TRUE(ckpt.usable());
         ASSERT_EQ(ckpt.numCores(), 2u);
 
@@ -975,18 +1083,15 @@ TEST(MultiWarming, CheckpointOfAnotherCoreCountIsIgnored)
     win.warmupInsts = 1000;
     win.measureInsts = 4000;
 
-    CheckpointStore store;
+    const CheckpointStore store;
+    SampleCheckpoint ckpt1;
     {
         const SpmdEmulators emus(w, 1);
         WarmState warm(one.mem, one.bpred);
         warmStep(*emus.cores()[0], warm, 30'000);
-        store.store(w, 30'000, emus.cores()[0]->checkpoint(), warm);
+        ckpt1 = store.store(w, 30'000, emus.cores()[0]->checkpoint(), warm);
     }
-    storeMultiCkpt(store, w, two, 2, 30'000);
-    const SampleCheckpoint ckpt1 =
-        store.lookup(w, 30'000, one.mem, one.bpred, 1);
-    const SampleCheckpoint ckpt2 =
-        store.lookup(w, 30'000, two.mem, two.bpred, 2);
+    const SampleCheckpoint ckpt2 = storeMultiCkpt(store, w, two, 2, 30'000);
     ASSERT_TRUE(ckpt1.usable());
     ASSERT_TRUE(ckpt2.usable());
     ASSERT_EQ(ckpt2.numCores(), 2u);
